@@ -43,35 +43,35 @@ void LockManager::grant(LockState& ls, TxnCtx& txn, LockMode mode) {
   }
 }
 
-void LockManager::collect_deps(const TxnCtx& txn, storage::PageId pid,
-                               std::vector<const TxnCtx*>& out) const {
-  auto it = locks_.find(pid);
-  if (it == locks_.end()) return;
-  const LockState& ls = it->second;
-  if (ls.x_holder && ls.x_holder != &txn) out.push_back(ls.x_holder);
-  for (const auto& [id, holder] : ls.sharers)
-    if (holder != &txn) out.push_back(holder);
-  // Queued-ahead waiters are granted before us (FIFO), so they are real
-  // dependencies too.
-  for (const auto& w : ls.queue)
-    if (w->txn != &txn) out.push_back(w->txn);
-}
-
-bool LockManager::creates_cycle(const TxnCtx& txn,
-                                storage::PageId pid) const {
-  // DFS over the waits-for graph starting from what we would depend on;
-  // a path back to `txn` is a cycle.
-  std::vector<const TxnCtx*> stack;
-  collect_deps(txn, pid, stack);
-  std::set<const TxnCtx*> visited;
+bool LockManager::creates_cycle(const TxnCtx& txn, storage::PageId pid) {
+  // Walks pages, not waiters: a waiter queued on q waits for exactly q's
+  // holders and queue (FIFO), so reaching one waiter of q reaches q and its
+  // queue-mates add nothing. The running requester is in no queue, so a
+  // cycle exists iff it holds a page reached via "holder -> page it is
+  // blocked on" (blocked_on_ keeps granted waiters until they resume).
+  DMV_ASSERT(!blocked_on_.count(&txn));
+  std::vector<storage::PageId> stack;
+  std::set<storage::PageId> visited;
+  auto follow_holders = [&](const LockState& ls) {
+    auto follow = [&](const TxnCtx* holder) {
+      auto bit = blocked_on_.find(holder);
+      if (bit != blocked_on_.end()) stack.push_back(bit->second);
+    };
+    if (ls.x_holder) follow(ls.x_holder);
+    for (const auto& [id, holder] : ls.sharers) follow(holder);
+  };
+  const LockState& start = locks_.at(pid);
+  if (!start.queue.empty()) stack.push_back(pid);
+  follow_holders(start);
   while (!stack.empty()) {
-    const TxnCtx* u = stack.back();
+    const storage::PageId q = stack.back();
     stack.pop_back();
-    if (u == &txn) return true;
-    if (!visited.insert(u).second) continue;
-    auto bit = blocked_on_.find(u);
-    if (bit == blocked_on_.end()) continue;  // running: no outgoing edges
-    collect_deps(*u, bit->second, stack);
+    auto it = locks_.find(q);
+    if (!visited.insert(q).second || it == locks_.end()) continue;
+    ++cycle_pages_;
+    if (it->second.x_holder == &txn || it->second.sharers.count(txn.id()))
+      return true;
+    follow_holders(it->second);
   }
   return false;
 }

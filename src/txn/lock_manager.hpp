@@ -4,12 +4,12 @@
 //  - DeadlockDetect (default): conflicting requests block FIFO; a request
 //    that would close a waits-for cycle dies instead (the victim restarts).
 //    This matches MySQL/InnoDB behavior: conflicts are queueing, aborts are
-//    rare. The detection graph is exact on holders and conservative on
-//    queued-ahead waiters (our grant order makes those real dependencies).
+//    rare. A waiter depends on every holder and queued waiter of its page,
+//    so the detector walks pages, not waiters (see creates_cycle).
 //  - WaitDie: a requester older than every conflicting holder and queued
 //    waiter blocks; a younger one dies immediately. Simpler and
 //    livelock-free, but hot pages turn into retry storms — kept as an
-//    ablation knob (bench/ablation_lock_policy).
+//    ablation knob (bench/ablation_design.cpp).
 #pragma once
 
 #include <cstdint>
@@ -57,6 +57,8 @@ class LockManager {
   size_t lock_count() const { return locks_.size(); }
   uint64_t wait_count() const { return waits_; }
   uint64_t death_count() const { return deaths_; }
+  // Pages the deadlock detector has expanded, over all calls.
+  uint64_t cycle_check_pages() const { return cycle_pages_; }
 
   // Node id attached to lock-wait trace spans (obs); kNoNode by default.
   void set_trace_node(uint32_t node) { trace_node_ = node; }
@@ -78,10 +80,7 @@ class LockManager {
   // True if wait-die says this request must die instead of waiting.
   bool must_die(const LockState& ls, const TxnCtx& txn, LockMode mode) const;
   // True if blocking txn on pid would close a waits-for cycle.
-  bool creates_cycle(const TxnCtx& txn, storage::PageId pid) const;
-  // Everything `txn` would wait for on `pid` right now.
-  void collect_deps(const TxnCtx& txn, storage::PageId pid,
-                    std::vector<const TxnCtx*>& out) const;
+  bool creates_cycle(const TxnCtx& txn, storage::PageId pid);
   void grant(LockState& ls, TxnCtx& txn, LockMode mode);
   void pump(storage::PageId pid);
 
@@ -92,6 +91,7 @@ class LockManager {
   bool shutdown_ = false;
   uint64_t waits_ = 0;
   uint64_t deaths_ = 0;
+  uint64_t cycle_pages_ = 0;
   uint32_t trace_node_ = UINT32_MAX;
 };
 

@@ -28,6 +28,7 @@ struct LmFixture {
 
 constexpr PageId kP{0, 0};
 constexpr PageId kQ{0, 1};
+constexpr PageId kR{0, 2};
 
 TEST(LockManager, SharedLocksCoexist) {
   LmFixture f;
@@ -188,6 +189,13 @@ TEST_P(LockStress, NoDeadlockUnderContention) {
   f.sim.run(10 * sim::kSec);
   EXPECT_EQ(completed, kTxns);   // everyone eventually commits
   EXPECT_EQ(f.lm.lock_count(), 0u);
+  if (std::get<1>(GetParam()) == LockPolicy::DeadlockDetect) {
+    // Deaths per seed, pinned so that a change in any detector verdict
+    // shows (a victim retries on fresh random pages, shifting the run).
+    const std::map<uint64_t, uint64_t> kDeaths = {
+        {11, 50}, {22, 48}, {33, 56}, {44, 62}, {55, 55}, {66, 47}};
+    EXPECT_EQ(f.lm.death_count(), kDeaths.at(std::get<0>(GetParam())));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -248,6 +256,182 @@ TEST(LockManager, NoFalseDeadlockOnPlainContention) {
   f.sim.run();
   ASSERT_EQ(done.size(), 2u);
   EXPECT_EQ(done[1], 100);
+}
+
+// Verdicts of the page-walking detector. Each spawn starts at the current
+// time and equal-time events run in schedule order, so the steps below
+// interleave exactly as written.
+sim::Task<> hold(LmFixture& f, TxnCtx& t, PageId pid, LockMode m,
+                 sim::Time until) {
+  EXPECT_EQ(co_await f.lm.acquire(t, pid, m), LockRc::Granted);
+  co_await f.sim.delay(until - f.sim.now());
+  f.lm.release_all(t);
+}
+
+sim::Task<> request_at(LmFixture& f, TxnCtx& t, PageId pid, LockMode m,
+                       sim::Time at, LockRc& rc) {
+  co_await f.sim.delay(at - f.sim.now());
+  rc = co_await f.lm.acquire(t, pid, m);
+  f.lm.release_all(t);
+}
+
+TEST(LockManager, UpgradeBehindQueuedWaiterDies) {
+  LmFixture f;
+  auto& t1 = f.make();
+  auto& t2 = f.make();
+  LockRc queued = LockRc::Cancelled, upgrade = LockRc::Cancelled;
+  f.sim.spawn([](LmFixture& f, TxnCtx& t, LockRc& rc) -> sim::Task<> {
+    EXPECT_EQ(co_await f.lm.acquire(t, kP, LockMode::Shared),
+              LockRc::Granted);
+    co_await f.sim.delay(10);
+    // t2 waits for t1's S and t1 would wait behind t2: a cycle.
+    rc = co_await f.lm.acquire(t, kP, LockMode::Exclusive);
+    f.lm.release_all(t);
+  }(f, t1, upgrade));
+  f.sim.spawn(request_at(f, t2, kP, LockMode::Exclusive, 5, queued));
+  f.sim.run();
+  EXPECT_EQ(upgrade, LockRc::Died);
+  EXPECT_EQ(queued, LockRc::Granted);
+  EXPECT_EQ(f.lm.death_count(), 1u);
+  EXPECT_EQ(f.lm.lock_count(), 0u);
+}
+
+TEST(LockManager, ThreePageCycleThroughQueuedWaiterDies) {
+  LmFixture f;
+  auto& t1 = f.make();
+  auto& t2 = f.make();
+  auto& t3 = f.make();
+  auto& t4 = f.make();
+  LockRc rc1 = LockRc::Cancelled, rc2 = LockRc::Cancelled,
+         rc3 = LockRc::Cancelled, rc4 = LockRc::Cancelled;
+  // t1 holds P, t2 holds Q, t3 holds R. t4 queues on R first, so t2's wait
+  // on R sits behind a queued waiter. t1 -> Q and t2 -> R just wait;
+  // t3 -> P closes t3 -> t1 -> t2 -> t3, reached through queued t1 and t2.
+  auto cycle = [](LmFixture& f, TxnCtx& t, PageId own, PageId want,
+                  sim::Time at, LockRc& rc) -> sim::Task<> {
+    EXPECT_EQ(co_await f.lm.acquire(t, own, LockMode::Exclusive),
+              LockRc::Granted);
+    co_await f.sim.delay(at);
+    rc = co_await f.lm.acquire(t, want, LockMode::Exclusive);
+    if (rc == LockRc::Granted) co_await f.sim.delay(5);
+    f.lm.release_all(t);
+  };
+  f.sim.spawn(cycle(f, t1, kP, kQ, 20, rc1));
+  f.sim.spawn(cycle(f, t2, kQ, kR, 30, rc2));
+  f.sim.spawn(cycle(f, t3, kR, kP, 40, rc3));
+  f.sim.spawn(request_at(f, t4, kR, LockMode::Shared, 10, rc4));
+  f.sim.run();
+  EXPECT_EQ(rc3, LockRc::Died);
+  EXPECT_EQ(rc1, LockRc::Granted);
+  EXPECT_EQ(rc2, LockRc::Granted);
+  EXPECT_EQ(rc4, LockRc::Granted);
+  EXPECT_EQ(f.lm.death_count(), 1u);
+  EXPECT_EQ(f.lm.wait_count(), 3u);
+}
+
+TEST(LockManager, GrantedWaiterCountsAsBlockedUntilResumed) {
+  LmFixture f;
+  auto& t1 = f.make();
+  auto& g = f.make();
+  auto& h = f.make();
+  auto& t3 = f.make();
+  LockRc g_rc = LockRc::Cancelled, h_rc = LockRc::Cancelled,
+         t3_rc = LockRc::Cancelled;
+  // t=0: t1 holds P (X), g holds Q (X), t3 holds R (X).
+  f.sim.spawn(hold(f, t1, kP, LockMode::Exclusive, 10));
+  f.sim.spawn([](LmFixture& f, TxnCtx& g, LockRc& rc) -> sim::Task<> {
+    EXPECT_EQ(co_await f.lm.acquire(g, kQ, LockMode::Exclusive),
+              LockRc::Granted);
+    co_await f.sim.delay(1);
+    rc = co_await f.lm.acquire(g, kP, LockMode::Shared);  // queues behind t1
+    f.lm.release_all(g);
+  }(f, g, g_rc));
+  f.sim.spawn([](LmFixture& f, TxnCtx& h, LockRc& rc) -> sim::Task<> {
+    co_await f.sim.delay(10);
+    // t1 has just released P and pump() granted it to g, whose resume is
+    // still queued: h shares P at once, then waits on R.
+    EXPECT_EQ(co_await f.lm.acquire(h, kP, LockMode::Shared),
+              LockRc::Granted);
+    rc = co_await f.lm.acquire(h, kR, LockMode::Exclusive);
+    f.lm.release_all(h);
+  }(f, h, h_rc));
+  f.sim.spawn([](LmFixture& f, TxnCtx& t3, LockRc& rc) -> sim::Task<> {
+    EXPECT_EQ(co_await f.lm.acquire(t3, kR, LockMode::Exclusive),
+              LockRc::Granted);
+    co_await f.sim.delay(10);
+    // Q -> g, still listed as blocked on P -> h -> R, which t3 holds.
+    rc = co_await f.lm.acquire(t3, kQ, LockMode::Exclusive);
+    f.lm.release_all(t3);
+  }(f, t3, t3_rc));
+  f.sim.run();
+  EXPECT_EQ(t3_rc, LockRc::Died);
+  EXPECT_EQ(g_rc, LockRc::Granted);
+  EXPECT_EQ(h_rc, LockRc::Granted);
+  EXPECT_EQ(f.lm.death_count(), 1u);
+}
+
+TEST(LockManager, RequesterBehindRunningHoldersWaits) {
+  LmFixture f;
+  auto& t1 = f.make();
+  auto& t2 = f.make();
+  auto& t3 = f.make();
+  auto& t4 = f.make();
+  LockRc rc2 = LockRc::Cancelled, rc3 = LockRc::Cancelled,
+         rc4 = LockRc::Cancelled;
+  // t1 (running) holds P and Q; t2 queues on P. t3 joins P's non-empty
+  // queue and t4 waits on Q: every holder they reach is running.
+  f.sim.spawn([](LmFixture& f, TxnCtx& t) -> sim::Task<> {
+    EXPECT_EQ(co_await f.lm.acquire(t, kP, LockMode::Exclusive),
+              LockRc::Granted);
+    EXPECT_EQ(co_await f.lm.acquire(t, kQ, LockMode::Shared),
+              LockRc::Granted);
+    co_await f.sim.delay(100);
+    f.lm.release_all(t);
+  }(f, t1));
+  f.sim.spawn(request_at(f, t2, kP, LockMode::Shared, 10, rc2));
+  f.sim.spawn(request_at(f, t3, kP, LockMode::Exclusive, 20, rc3));
+  f.sim.spawn(request_at(f, t4, kQ, LockMode::Exclusive, 30, rc4));
+  f.sim.run();
+  EXPECT_EQ(rc2, LockRc::Granted);
+  EXPECT_EQ(rc3, LockRc::Granted);
+  EXPECT_EQ(rc4, LockRc::Granted);
+  EXPECT_EQ(f.lm.death_count(), 0u);
+  EXPECT_EQ(f.lm.wait_count(), 3u);
+}
+
+// A deep FIFO convoy on one page: the detector expands each page once per
+// call, so joining the convoy, or waiting on a page whose holder is in it,
+// costs one page, not one step per queued waiter.
+TEST(LockManager, ConvoyCheckCostsConstantPages) {
+  LmFixture f;
+  constexpr int kWaiters = 1000;
+  std::vector<LockRc> rcs(kWaiters + 2, LockRc::Cancelled);
+  f.sim.spawn(hold(f, f.make(), kP, LockMode::Exclusive, 1000));
+  f.sim.spawn([](LmFixture& f, TxnCtx& t, LockRc& rc) -> sim::Task<> {
+    EXPECT_EQ(co_await f.lm.acquire(t, kR, LockMode::Exclusive),
+              LockRc::Granted);
+    rc = co_await f.lm.acquire(t, kP, LockMode::Exclusive);
+    f.lm.release_all(t);
+  }(f, f.make(), rcs[0]));
+  for (int i = 1; i < kWaiters; ++i)
+    f.sim.spawn(request_at(f, f.make(), kP, LockMode::Exclusive, 1, rcs[i]));
+  f.sim.run(10);
+  ASSERT_EQ(f.lm.wait_count(), uint64_t(kWaiters));
+  EXPECT_LE(f.lm.cycle_check_pages(), uint64_t(kWaiters));
+  // Join the convoy on P, then wait on R, held by the convoy's first waiter.
+  const PageId probes[] = {kP, kR};
+  for (int k = 0; k < 2; ++k) {
+    const uint64_t before = f.lm.cycle_check_pages();
+    f.sim.spawn(request_at(f, f.make(), probes[k], LockMode::Exclusive,
+                           20 + 10 * k, rcs[kWaiters + k]));
+    f.sim.run(25 + 10 * k);
+    EXPECT_LE(f.lm.cycle_check_pages() - before, 1u) << k;
+  }
+  EXPECT_EQ(f.lm.wait_count(), uint64_t(kWaiters + 2));
+  f.sim.run();
+  for (LockRc rc : rcs) EXPECT_EQ(rc, LockRc::Granted);
+  EXPECT_EQ(f.lm.death_count(), 0u);
+  EXPECT_EQ(f.lm.lock_count(), 0u);
 }
 
 TEST(WriteSet, DiffEmptyPagesIsEmpty) {
