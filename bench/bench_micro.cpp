@@ -4,6 +4,9 @@
 // (the macro experiments charge modeled virtual time instead).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "storage/table.hpp"
 #include "tpcw/generator.hpp"
 #include "txn/write_set.hpp"
@@ -62,6 +65,39 @@ void BM_RbTreeScan100(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100);
 }
 BENCHMARK(BM_RbTreeScan100);
+
+// The same scans after the slave-apply pattern: every key erased and
+// re-inserted in shuffled order, eight at a time, as a slave applying a
+// page mod unindexes all affected slots and then indexes them again. A
+// freshly loaded tree (above) has its nodes in key order and hides what
+// scattered nodes cost the successor walk.
+void BM_RbTreeScanChurned(benchmark::State& state) {
+  constexpr int64_t n = 100000;
+  constexpr size_t kBatch = 8;
+  storage::RbTree t;
+  for (int64_t i = 0; i < n; ++i) t.insert(storage::Key{i}, storage::RowId{});
+  util::Rng rng(13);
+  std::vector<int64_t> keys(n);
+  for (int64_t i = 0; i < n; ++i) keys[size_t(i)] = i;
+  for (size_t i = keys.size(); i > 1; --i)
+    std::swap(keys[i - 1], keys[rng.below(i)]);
+  for (size_t b = 0; b < keys.size(); b += kBatch) {
+    const size_t e = std::min(keys.size(), b + kBatch);
+    for (size_t i = b; i < e; ++i) t.erase(storage::Key{keys[i]});
+    for (size_t i = b; i < e; ++i)
+      t.insert(storage::Key{keys[i]}, storage::RowId{});
+  }
+  for (auto _ : state) {
+    storage::Key lo{rng.between(0, n - 101)};
+    size_t seen = 0;
+    t.scan(&lo, nullptr, [&](const storage::Key&, storage::RowId) {
+      return ++seen < 100;
+    });
+    benchmark::DoNotOptimize(seen);
+  }
+  state.SetItemsProcessed(state.iterations() * 100);
+}
+BENCHMARK(BM_RbTreeScanChurned);
 
 void BM_PageDiff(benchmark::State& state) {
   const int changes = int(state.range(0));

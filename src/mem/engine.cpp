@@ -280,6 +280,7 @@ sim::Task<std::vector<Row>> MemEngine::scan(TxnCtx& txn, TableId t,
   cost += cfg_.costs.index_scan_entry * sim::Time(rids.size());
 
   std::vector<Row> out;
+  out.reserve(std::min(rids.size(), spec.limit));
   if (txn.kind() == TxnKind::ReadOnly) {
     const bool latch = read_at_latest(txn, t) && !cfg_.mut_skip_tag_upgrade;
     for (const RowId& rid : rids) {

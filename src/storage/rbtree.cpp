@@ -1,6 +1,6 @@
 #include "storage/rbtree.hpp"
 
-#include <vector>
+#include <algorithm>
 
 namespace dmv::storage {
 
@@ -13,6 +13,13 @@ struct RbTree::Node {
   bool red;
 };
 
+namespace {
+// First chunk fits a small table's index; later chunks double up to the
+// cap, so a tree wastes at most one partly used chunk.
+constexpr size_t kFirstChunk = 16;
+constexpr size_t kMaxChunk = 1024;
+}  // namespace
+
 RbTree::RbTree() {
   nil_ = new Node{};
   nil_->left = nil_->right = nil_->parent = nil_;
@@ -20,52 +27,56 @@ RbTree::RbTree() {
   root_ = nil_;
 }
 
-RbTree::~RbTree() {
-  clear();
-  delete nil_;
-}
+RbTree::~RbTree() { delete nil_; }
 
-RbTree::RbTree(RbTree&& o) noexcept
-    : root_(o.root_), nil_(o.nil_), size_(o.size_), rotations_(o.rotations_) {
-  o.nil_ = new Node{};
-  o.nil_->left = o.nil_->right = o.nil_->parent = o.nil_;
-  o.nil_->red = false;
-  o.root_ = o.nil_;
-  o.size_ = 0;
-}
+RbTree::RbTree(RbTree&& o) noexcept : RbTree() { *this = std::move(o); }
 
 RbTree& RbTree::operator=(RbTree&& o) noexcept {
   if (this != &o) {
-    clear();
-    delete nil_;
-    root_ = o.root_;
-    nil_ = o.nil_;
-    size_ = o.size_;
-    rotations_ = o.rotations_;
-    o.nil_ = new Node{};
-    o.nil_->left = o.nil_->right = o.nil_->parent = o.nil_;
-    o.nil_->red = false;
-    o.root_ = o.nil_;
-    o.size_ = 0;
+    std::swap(root_, o.root_);
+    std::swap(nil_, o.nil_);
+    std::swap(size_, o.size_);
+    std::swap(rotations_, o.rotations_);
+    std::swap(chunks_, o.chunks_);
+    std::swap(chunk_cap_, o.chunk_cap_);
+    std::swap(chunk_used_, o.chunk_used_);
+    std::swap(free_, o.free_);
+    o.clear();
   }
   return *this;
 }
 
-void RbTree::free_subtree(Node* n) {
-  // Iterative post-order free to avoid deep recursion on large tables.
-  std::vector<Node*> stack;
-  if (n != nil_) stack.push_back(n);
-  while (!stack.empty()) {
-    Node* cur = stack.back();
-    stack.pop_back();
-    if (cur->left != nil_) stack.push_back(cur->left);
-    if (cur->right != nil_) stack.push_back(cur->right);
-    delete cur;
+RbTree::Node* RbTree::new_node(const Key& key, RowId rid, Node* parent) {
+  Node* n = free_;
+  if (n != nullptr) {
+    free_ = n->parent;
+  } else {
+    if (chunk_used_ == chunk_cap_) {
+      chunk_cap_ = chunk_cap_ == 0 ? kFirstChunk
+                                   : std::min(2 * chunk_cap_, kMaxChunk);
+      chunks_.push_back(std::make_unique<Node[]>(chunk_cap_));
+      chunk_used_ = 0;
+    }
+    n = &chunks_.back()[chunk_used_++];
   }
+  n->key = key;
+  n->rid = rid;
+  n->left = n->right = nil_;
+  n->parent = parent;
+  n->red = true;
+  return n;
+}
+
+void RbTree::release_node(Node* n) {
+  n->key = Key();  // a free node holds no key storage
+  n->parent = free_;
+  free_ = n;
 }
 
 void RbTree::clear() {
-  free_subtree(root_);
+  chunks_.clear();
+  chunk_cap_ = chunk_used_ = 0;
+  free_ = nullptr;
   root_ = nil_;
   size_ = 0;
 }
@@ -111,7 +122,7 @@ bool RbTree::insert(const Key& key, RowId rid) {
     if (c == std::strong_ordering::equal) return false;
     x = (c == std::strong_ordering::less) ? x->left : x->right;
   }
-  Node* z = new Node{key, rid, nil_, nil_, y, true};
+  Node* z = new_node(key, rid, y);
   if (y == nil_)
     root_ = z;
   else if (key_less(key, y->key))
@@ -172,6 +183,26 @@ RbTree::Node* RbTree::maximum(Node* x) const {
   return x;
 }
 
+RbTree::Node* RbTree::successor(Node* x) const {
+  if (x->right != nil_) return minimum(x->right);
+  Node* p = x->parent;
+  while (p != nil_ && x == p->right) {
+    x = p;
+    p = p->parent;
+  }
+  return p;
+}
+
+RbTree::Node* RbTree::predecessor(Node* x) const {
+  if (x->left != nil_) return maximum(x->left);
+  Node* p = x->parent;
+  while (p != nil_ && x == p->left) {
+    x = p;
+    p = p->parent;
+  }
+  return p;
+}
+
 void RbTree::transplant(Node* u, Node* v) {
   if (u->parent == nil_)
     root_ = v;
@@ -216,7 +247,7 @@ bool RbTree::erase(const Key& key) {
     y->left->parent = y;
     y->red = z->red;
   }
-  delete z;
+  release_node(z);
   if (!y_was_red) erase_fixup(x);
   --size_;
   return true;
@@ -301,29 +332,6 @@ RbTree::Node* RbTree::lower_bound(const Key& key) const {
   return best;
 }
 
-void RbTree::scan(const Key* lo, const Key* hi,
-                  const std::function<bool(const Key&, RowId)>& fn) const {
-  Node* x = lo ? lower_bound(*lo) : (root_ == nil_ ? nil_ : minimum(root_));
-  while (x != nil_) {
-    // hi is a prefix bound: stop once the key's prefix exceeds it, but keep
-    // longer keys whose prefix equals hi (composite-index range scans).
-    if (hi && compare_prefix(x->key, *hi) == std::strong_ordering::greater)
-      return;
-    if (!fn(x->key, x->rid)) return;
-    // in-order successor
-    if (x->right != nil_) {
-      x = minimum(x->right);
-    } else {
-      Node* p = x->parent;
-      while (p != nil_ && x == p->right) {
-        x = p;
-        p = p->parent;
-      }
-      x = p;
-    }
-  }
-}
-
 RbTree::Node* RbTree::upper_bound_prefix(const Key& bound) const {
   Node* x = root_;
   Node* best = nil_;
@@ -338,36 +346,39 @@ RbTree::Node* RbTree::upper_bound_prefix(const Key& bound) const {
   return best;
 }
 
+std::pair<RbTree::Node*, RbTree::Node*> RbTree::range(const Key* lo,
+                                                      const Key* hi) const {
+  if (root_ == nil_) return {nil_, nil_};
+  Node* first = lo ? lower_bound(*lo) : minimum(root_);
+  Node* last = hi ? upper_bound_prefix(*hi) : maximum(root_);
+  // A key's prefix-compare against hi only grows in key order, so the
+  // range is exactly [first, last]; it is empty when an end is missing or
+  // the ends cross (lo above hi).
+  if (first == nil_ || last == nil_ ||
+      (lo && hi && key_less(last->key, first->key)))
+    return {nil_, nil_};
+  return {first, last};
+}
+
+void RbTree::scan(const Key* lo, const Key* hi,
+                  const std::function<bool(const Key&, RowId)>& fn) const {
+  auto [x, last] = range(lo, hi);
+  if (x == nil_) return;
+  while (fn(x->key, x->rid) && x != last) x = successor(x);
+}
+
 void RbTree::scan_desc(const Key* lo, const Key* hi,
                        const std::function<bool(const Key&, RowId)>& fn)
     const {
-  Node* x = hi ? upper_bound_prefix(*hi)
-               : (root_ == nil_ ? nil_ : maximum(root_));
-  while (x != nil_) {
-    if (lo && key_less(x->key, *lo)) return;
-    if (!fn(x->key, x->rid)) return;
-    // in-order predecessor
-    if (x->left != nil_) {
-      x = maximum(x->left);
-    } else {
-      Node* p = x->parent;
-      while (p != nil_ && x == p->left) {
-        x = p;
-        p = p->parent;
-      }
-      x = p;
-    }
-  }
+  auto [first, x] = range(lo, hi);
+  if (x == nil_) return;
+  while (fn(x->key, x->rid) && x != first) x = predecessor(x);
 }
 
 bool RbTree::check_invariants() const {
   if (root_->red) return false;
-  // Recursive check via explicit stack: returns black-height or -1 on error.
-  struct Frame {
-    const Node* n;
-    int phase;
-  };
-  // Simple recursion with lambda (tree depth is O(log n), safe).
+  // Returns the black height, or -1 on error (depth is O(log n), so
+  // recursion is safe).
   std::function<int(const Node*)> check = [&](const Node* n) -> int {
     if (n == nil_) return 1;
     if (n->red && (n->left->red || n->right->red)) return -1;

@@ -22,11 +22,11 @@ using Row = std::vector<Value>;
 using Key = std::vector<Value>;
 
 inline std::strong_ordering compare(const Value& a, const Value& b) {
+  // Integers first, ahead of the type check: almost every index column is
+  // one.
+  if (const auto* ia = std::get_if<int64_t>(&a))
+    if (const auto* ib = std::get_if<int64_t>(&b)) return *ia <=> *ib;
   DMV_ASSERT_MSG(a.index() == b.index(), "comparing mismatched value types");
-  if (const auto* ia = std::get_if<int64_t>(&a)) {
-    const auto ib = std::get<int64_t>(b);
-    return *ia <=> ib;
-  }
   if (const auto* da = std::get_if<double>(&a)) {
     const auto db = std::get<double>(b);
     if (*da < db) return std::strong_ordering::less;

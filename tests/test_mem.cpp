@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "mem/checkpoint.hpp"
 #include "mem/engine.hpp"
 #include "util/rng.hpp"
@@ -428,6 +430,106 @@ TEST(MemEngine, InstallPageBringsStaleNodeCurrent) {
   EXPECT_GT(sent, 0u);
   EXPECT_TRUE(support.db().pages_equal(joiner.db()));
   EXPECT_EQ(joiner.db().table(0).row_count(), 20u);
+}
+
+// Inserts ids 0..n-1 into acct in one commit, enough rows for three pages.
+size_t fill_three_pages(Cluster& c) {
+  const size_t n = 2 * c.master->db().table(0).slots_per_page() + 10;
+  c.run_update([n](MemEngine& m, txn::TxnCtx& txn) -> sim::Task<> {
+    for (size_t i = 0; i < n; ++i)
+      co_await insert_acct(m, txn, int64_t(i), 0, "x");
+  });
+  return n;
+}
+
+void apply_all(Cluster& c, MemEngine& s) {
+  c.sim.spawn([](MemEngine& s) -> sim::Task<> {
+    co_await s.apply_pending(0, s.received_version()[0]);
+  }(s));
+  c.sim.run();
+}
+
+// Full read-only scan of acct on `s` at `tag`; true if it aborted with a
+// version conflict.
+bool scan_acct(Cluster& c, MemEngine& s, VersionVec tag, size_t& rows) {
+  bool conflict = false;
+  c.sim.spawn([](MemEngine& s, VersionVec tag, size_t& rows,
+                 bool& conflict) -> sim::Task<> {
+    auto txn = s.begin_read(std::move(tag));
+    try {
+      rows = (co_await s.scan(*txn, 0, MemEngine::ScanSpec{})).size();
+    } catch (const TxnAbort& e) {
+      conflict = e.reason == TxnAbort::Reason::VersionConflict;
+    }
+  }(s, std::move(tag), rows, conflict));
+  c.sim.run();
+  return conflict;
+}
+
+// A read-only scan charges the cache once per row: hits and faults are
+// those of touching every row's page in key order.
+TEST(MemEngine, ReadOnlyScanChargesCachePerRow) {
+  Cluster c(1);
+  const size_t n = fill_three_pages(c);
+  MemEngine& s = *c.slaves[0];
+  apply_all(c, s);
+  const storage::Table& tb = s.db().table(0);
+  s.cache().invalidate();
+  s.cache().prefetch({0, 1});
+  std::set<storage::PageNo> resident{1};
+  uint64_t want_hits = 0, want_faults = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const auto rid = tb.pk_find(K(int64_t(i)));
+    ASSERT_TRUE(rid.has_value());
+    if (resident.insert(rid->page).second)
+      ++want_faults;
+    else
+      ++want_hits;
+  }
+  ASSERT_EQ(resident.size(), 3u);
+  const uint64_t h0 = s.cache().hits(), f0 = s.cache().faults();
+  size_t rows = 0;
+  EXPECT_FALSE(scan_acct(c, s, s.received_version(), rows));
+  EXPECT_EQ(rows, n);
+  EXPECT_EQ(s.cache().hits() - h0, want_hits);
+  EXPECT_EQ(s.cache().faults() - f0, want_faults);
+}
+
+// Pages 1 and 2 move past an old reader's tag: its scan reads every row
+// before the first row on a newer page, then aborts there.
+TEST(MemEngine, StaleScanAbortsAtFirstNewerPage) {
+  Cluster c(1);
+  const size_t n = fill_three_pages(c);
+  const storage::Table& mt = c.master->db().table(0);
+  std::vector<int64_t> bump;  // first id on pages 1 and 2
+  for (storage::PageNo p : {1u, 2u})
+    for (size_t i = 0; i < n; ++i)
+      if (mt.pk_find(K(int64_t(i)))->page == p) {
+        bump.push_back(int64_t(i));
+        break;
+      }
+  ASSERT_EQ(bump.size(), 2u);
+  c.run_update([bump](MemEngine& m, txn::TxnCtx& txn) -> sim::Task<> {
+    for (int64_t id : bump)
+      co_await m.update(txn, 0, K(id), [](Row& r) { r[1] = int64_t{7}; });
+  });
+  MemEngine& s = *c.slaves[0];
+  apply_all(c, s);
+  const storage::Table& tb = s.db().table(0);
+  size_t want_touches = 0;
+  while (tb.meta(tb.pk_find(K(int64_t(want_touches)))->page).version <= 1)
+    ++want_touches;
+  ASSERT_GT(want_touches, 0u);
+
+  const uint64_t touches0 = s.cache().hits() + s.cache().faults();
+  const uint64_t aborts0 = s.stats().version_aborts;
+  size_t rows = 0;
+  EXPECT_TRUE(scan_acct(c, s, {1, 0}, rows));
+  EXPECT_EQ(s.cache().hits() + s.cache().faults() - touches0, want_touches);
+  EXPECT_EQ(s.stats().version_aborts - aborts0, 1u);
+  // The current tag reads the whole table.
+  EXPECT_FALSE(scan_acct(c, s, s.received_version(), rows));
+  EXPECT_EQ(rows, n);
 }
 
 TEST(MemEngine, WaitDieDeathSurfacesAsAbort) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "storage/table.hpp"
@@ -217,9 +219,46 @@ TEST(RbTree, StringKeys) {
   EXPECT_EQ(order, (std::vector<std::string>{"apple", "mango", "peach"}));
 }
 
-// Property test: random interleaved inserts/erases vs std::map reference,
+TEST(RbTree, MoveTakesNodesAndLeavesSourceEmpty) {
+  RbTree a;
+  for (int64_t i = 0; i < 40; ++i) a.insert(Key{i}, RowId{0, uint16_t(i)});
+  for (int64_t i = 0; i < 40; i += 2) a.erase(Key{i});  // fill the free list
+  RbTree b(std::move(a));
+  EXPECT_TRUE(a.empty());
+  a.insert(Key{int64_t{7}}, RowId{});  // the source stays usable
+  RbTree c;
+  c.insert(Key{int64_t{99}}, RowId{});
+  c = std::move(b);
+  EXPECT_TRUE(b.empty());
+  for (int64_t i = 0; i < 40; i += 2) c.insert(Key{i}, RowId{1, 0});
+  ASSERT_TRUE(c.check_invariants());
+  std::vector<int64_t> got;
+  c.scan_all([&](const Key& k, RowId) {
+    got.push_back(std::get<int64_t>(k[0]));
+    return true;
+  });
+  ASSERT_EQ(got.size(), 40u);
+  for (int64_t i = 0; i < 40; ++i) EXPECT_EQ(got[size_t(i)], i);
+  EXPECT_EQ(c.find(Key{int64_t{3}})->slot, 3u);
+  EXPECT_FALSE(c.find(Key{int64_t{99}}).has_value());
+}
+
+// Property tests: random interleaved inserts/erases vs std::map reference,
 // with invariant checks along the way.
-class RbTreeProperty : public ::testing::TestWithParam<uint64_t> {};
+class RbTreeProperty : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  // rotations() at the end of each test, per seed. The node pool must not
+  // change the algorithm: the cost model charges index_rotation for every
+  // rotation, so any change here changes simulated time.
+  uint64_t pinned(const std::map<uint64_t, uint64_t>& by_seed) const {
+    const auto it = by_seed.find(GetParam());
+    if (it == by_seed.end()) {
+      ADD_FAILURE() << "no rotation pin for seed " << GetParam();
+      return 0;
+    }
+    return it->second;
+  }
+};
 
 TEST_P(RbTreeProperty, MatchesReferenceModel) {
   util::Rng rng(GetParam());
@@ -250,7 +289,155 @@ TEST_P(RbTreeProperty, MatchesReferenceModel) {
   });
   EXPECT_TRUE(match);
   EXPECT_EQ(it, ref.end());
-  EXPECT_GT(t.rotations(), 0u);
+  EXPECT_EQ(t.rotations(), pinned({{1, 893},
+                                   {2, 841},
+                                   {3, 773},
+                                   {5, 810},
+                                   {8, 792},
+                                   {13, 837},
+                                   {21, 838},
+                                   {34, 912}}));
+}
+
+using IntKey = std::vector<int64_t>;
+
+Key to_key(const IntKey& k) { return Key(k.begin(), k.end()); }
+
+// The entries a scan over [lo, hi] must visit, ascending. hi is a prefix
+// bound: a key is in range when its first |hi| columns are <= hi.
+std::vector<std::pair<IntKey, RowId>> ref_range(
+    const std::map<IntKey, RowId>& ref, const IntKey* lo, const IntKey* hi) {
+  std::vector<std::pair<IntKey, RowId>> out;
+  for (const auto& [k, rid] : ref) {
+    if (lo && k < *lo) continue;
+    if (hi && IntKey(k.begin(), k.begin() + std::min(k.size(), hi->size())) >
+                  *hi)
+      continue;
+    out.emplace_back(k, rid);
+  }
+  return out;
+}
+
+// Runs scan and scan_desc over [lo, hi], stopping each after `stop_after`
+// visits, and compares both with the reference.
+void expect_scans_match(const RbTree& t, const std::map<IntKey, RowId>& ref,
+                        const IntKey* lo, const IntKey* hi,
+                        size_t stop_after) {
+  const Key klo = lo ? to_key(*lo) : Key{};
+  const Key khi = hi ? to_key(*hi) : Key{};
+  auto want = ref_range(ref, lo, hi);
+  const auto visit = [&](std::vector<std::pair<IntKey, RowId>>& got) {
+    return [&got, stop_after](const Key& k, RowId rid) {
+      IntKey ik;
+      for (const Value& v : k) ik.push_back(std::get<int64_t>(v));
+      got.emplace_back(std::move(ik), rid);
+      return got.size() < stop_after;
+    };
+  };
+  std::vector<std::pair<IntKey, RowId>> asc, desc;
+  t.scan(lo ? &klo : nullptr, hi ? &khi : nullptr, visit(asc));
+  t.scan_desc(lo ? &klo : nullptr, hi ? &khi : nullptr, visit(desc));
+  auto want_desc = want;
+  std::reverse(want_desc.begin(), want_desc.end());
+  if (want.size() > stop_after) want.resize(stop_after);
+  if (want_desc.size() > stop_after) want_desc.resize(stop_after);
+  EXPECT_EQ(asc, want);
+  EXPECT_EQ(desc, want_desc);
+}
+
+// A random bound: open, one column (a prefix of the composite key) or both
+// columns, reaching past the keys on either side.
+std::optional<IntKey> random_bound(util::Rng& rng, int64_t a_max,
+                                   int64_t b_max) {
+  const uint64_t kind = rng.below(8);
+  if (kind == 0) return std::nullopt;
+  const int64_t a = rng.between(-3, a_max + 3);
+  if (kind < 4) return IntKey{a};
+  return IntKey{a, rng.between(-2, b_max + 2)};
+}
+
+// Range scans after the slave-apply pattern: every key erased and
+// re-inserted in shuffled order, several times, with random inserts and
+// erases in between so the node free list is reused out of key order.
+TEST_P(RbTreeProperty, ChurnedRangeScansMatchReference) {
+  constexpr int64_t kA = 60, kB = 8;
+  util::Rng rng(GetParam());
+  RbTree t;
+  std::map<IntKey, RowId> ref;
+  const auto random_rid = [&] {
+    return RowId{uint32_t(rng.below(1000)), uint16_t(rng.below(100))};
+  };
+  for (int64_t a = 0; a < kA; ++a)
+    for (int64_t b = 0; b < kB; ++b)
+      if (rng.chance(0.7)) {
+        const RowId rid = random_rid();
+        ASSERT_TRUE(t.insert(to_key({a, b}), rid));
+        ref.emplace(IntKey{a, b}, rid);
+      }
+
+  for (int round = 0; round < 6; ++round) {
+    std::vector<IntKey> keys;
+    for (const auto& [k, rid] : ref) keys.push_back(k);
+    for (size_t i = keys.size(); i > 1; --i)
+      std::swap(keys[i - 1], keys[rng.below(i)]);
+    for (const IntKey& k : keys) {
+      if (!ref.count(k)) continue;  // erased earlier this round
+      ASSERT_TRUE(t.erase(to_key(k)));
+      const RowId rid = random_rid();
+      ASSERT_TRUE(t.insert(to_key(k), rid));
+      ref[k] = rid;
+      if (rng.chance(0.1)) {
+        const IntKey other{rng.between(0, kA - 1), rng.between(0, kB - 1)};
+        if (rng.chance(0.5)) {
+          const RowId r2 = random_rid();
+          EXPECT_EQ(t.insert(to_key(other), r2), ref.emplace(other, r2).second);
+        } else {
+          EXPECT_EQ(t.erase(to_key(other)), ref.erase(other) > 0);
+        }
+      }
+    }
+    ASSERT_TRUE(t.check_invariants());
+    ASSERT_EQ(t.size(), ref.size());
+  }
+
+  for (int q = 0; q < 400; ++q) {
+    const auto lo = random_bound(rng, kA, kB);
+    const auto hi = random_bound(rng, kA, kB);
+    const size_t stop_after =
+        rng.chance(0.25) ? 1 + rng.below(12) : SIZE_MAX;
+    expect_scans_match(t, ref, lo ? &*lo : nullptr, hi ? &*hi : nullptr,
+                       stop_after);
+  }
+  // The cases the random bounds may miss, spelled out.
+  const IntKey below{-5}, above{kA + 5}, mid{kA / 2}, mid_b{kA / 2, 3};
+  expect_scans_match(t, ref, &above, &below, SIZE_MAX);   // lo > hi
+  expect_scans_match(t, ref, &mid_b, &mid, SIZE_MAX);     // lo > hi by b
+  expect_scans_match(t, ref, &mid, &mid_b, SIZE_MAX);
+  expect_scans_match(t, ref, &below, &above, SIZE_MAX);   // covers all
+  expect_scans_match(t, ref, &above, nullptr, SIZE_MAX);  // past the end
+  expect_scans_match(t, ref, nullptr, &below, SIZE_MAX);  // before start
+  expect_scans_match(t, ref, &mid, &mid, SIZE_MAX);       // one prefix
+  expect_scans_match(t, ref, nullptr, nullptr, 1);
+
+  EXPECT_EQ(t.rotations(), pinned({{1, 1585},
+                                   {2, 1532},
+                                   {3, 1524},
+                                   {5, 1611},
+                                   {8, 1602},
+                                   {13, 1610},
+                                   {21, 1644},
+                                   {34, 1558}}));
+
+  // Emptied by erases, then by clear(): no scan visits anything.
+  for (const auto& [k, rid] : ref) ASSERT_TRUE(t.erase(to_key(k)));
+  ref.clear();
+  expect_scans_match(t, ref, nullptr, nullptr, SIZE_MAX);
+  expect_scans_match(t, ref, &below, &above, SIZE_MAX);
+  t.insert(to_key(mid_b), RowId{});
+  t.clear();
+  EXPECT_TRUE(t.empty());
+  expect_scans_match(t, ref, &mid, &mid, SIZE_MAX);
+  expect_scans_match(t, ref, nullptr, nullptr, SIZE_MAX);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RbTreeProperty,

@@ -129,8 +129,11 @@ TEST(Lru, EraseAndClear) {
   lru.erase(1);
   EXPECT_FALSE(lru.contains(1));
   EXPECT_EQ(lru.size(), 1u);
+  lru.erase(2);  // the MRU entry
+  EXPECT_FALSE(lru.touch(2).hit);
   lru.clear();
   EXPECT_EQ(lru.size(), 0u);
+  EXPECT_FALSE(lru.touch(2).hit);
 }
 
 TEST(Lru, ShrinkCapacityEvicts) {
