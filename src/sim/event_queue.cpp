@@ -4,162 +4,16 @@
 
 namespace dmv::sim {
 
-EventQueue::EventQueue(Kind kind) : kind_(kind) {
-  if (kind_ == Kind::Calendar) ring_.resize(kBuckets);
-}
-
 void EventQueue::push(Event ev) {
-  ++size_;
-  if (kind_ == Kind::BinaryHeap) {
-    heap_.push_back(std::move(ev));
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-    return;
-  }
-  if (ev.at <= last_min_) {
-    // Scheduled at the instant currently draining (the clock never moves
-    // backwards, so at == last_min_): plain FIFO, seq is monotone.
-    today_.push_back(std::move(ev));
-    return;
-  }
-  const int64_t day = ev.at / kWidth;
-  if (day >= win_end_day_) {
-    overflow_.push_back(std::move(ev));
-    std::push_heap(overflow_.begin(), overflow_.end(), Later{});
-    return;
-  }
-  if (day < cur_day_) {
-    // The scan had advanced past this day (it was empty, or a parked
-    // clock let the window rotate ahead of the schedule); rewind.
-    leave_active();
-    if (day < win_end_day_ - int64_t(kBuckets)) {
-      // Day precedes the rotated window entirely: spill the ring back to
-      // the overflow heap and re-anchor the window at the new day, so
-      // ring days always span less than one window (no slot collisions).
-      for (auto& b : ring_) {
-        for (auto& e : b) {
-          overflow_.push_back(std::move(e));
-          std::push_heap(overflow_.begin(), overflow_.end(), Later{});
-        }
-        b.clear();
-      }
-      ring_count_ = 0;
-      win_end_day_ = day + int64_t(kBuckets);
-      cur_day_ = day;
-      // Restore the overflow invariant (it holds only days past the
-      // window): spilled or previously-parked events may fall inside the
-      // re-anchored window, and pops never consult the overflow while the
-      // ring has events — migrate them back in so a later ring event
-      // cannot be served before an earlier overflow one.
-      while (!overflow_.empty() &&
-             overflow_.front().at / kWidth < win_end_day_) {
-        std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
-        Event mv = std::move(overflow_.back());
-        overflow_.pop_back();
-        bucket(mv.at / kWidth).push_back(std::move(mv));
-        ++ring_count_;
-      }
-    }
-    cur_day_ = day;
-  }
-  ++ring_count_;
-  std::vector<Event>& b = bucket(day);
-  if (day == cur_day_ && active_sorted_) {
-    // Keep the active bucket sorted: insert into the unconsumed suffix.
-    auto it = std::lower_bound(b.begin() + std::ptrdiff_t(active_pos_),
-                               b.end(), ev, Earlier{});
-    b.insert(it, std::move(ev));
-  } else {
-    b.push_back(std::move(ev));
-  }
-}
-
-void EventQueue::leave_active() {
-  std::vector<Event>& b = bucket(cur_day_);
-  if (active_pos_ > 0)
-    b.erase(b.begin(), b.begin() + std::ptrdiff_t(active_pos_));
-  active_pos_ = 0;
-  active_sorted_ = false;
-}
-
-void EventQueue::ensure_active() {
-  if (ring_count_ == 0) {
-    if (overflow_.empty()) return;  // only today_ has events
-    // Rotate the window onto the overflow's earliest day and migrate
-    // everything that now fits; the rest waits for the next rotation.
-    leave_active();
-    cur_day_ = overflow_.front().at / kWidth;
-    win_end_day_ = cur_day_ + int64_t(kBuckets);
-    while (!overflow_.empty() && overflow_.front().at / kWidth < win_end_day_) {
-      std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
-      Event ev = std::move(overflow_.back());
-      overflow_.pop_back();
-      bucket(ev.at / kWidth).push_back(std::move(ev));
-      ++ring_count_;
-    }
-  }
-  while (true) {
-    std::vector<Event>& b = bucket(cur_day_);
-    if (active_pos_ < b.size()) {
-      if (!active_sorted_) {
-        std::sort(b.begin() + std::ptrdiff_t(active_pos_), b.end(),
-                  Earlier{});
-        active_sorted_ = true;
-      }
-      return;
-    }
-    leave_active();
-    ++cur_day_;
-    if (ring_count_ == 0) {
-      if (!overflow_.empty()) ensure_active();  // re-enter the rotate path
-      return;
-    }
-  }
-}
-
-bool EventQueue::today_first() {
-  if (today_.empty()) return false;
-  if (ring_count_ == 0) return true;
-  const Event& t = today_.front();
-  const Event& r = bucket(cur_day_)[active_pos_];
-  if (t.at != r.at) return t.at < r.at;
-  return t.seq < r.seq;
-}
-
-Time EventQueue::peek_time() {
-  DMV_ASSERT(size_ > 0);
-  if (kind_ == Kind::BinaryHeap) return heap_.front().at;
-  // today_ events carry at == last_min_, a lower bound on everything else.
-  if (!today_.empty()) return today_.front().at;
-  ensure_active();
-  DMV_ASSERT(ring_count_ > 0);
-  return bucket(cur_day_)[active_pos_].at;
+  heap_.push_back(std::move(ev));
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 Event EventQueue::pop() {
-  DMV_ASSERT(size_ > 0);
-  if (kind_ == Kind::BinaryHeap) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    Event ev = std::move(heap_.back());
-    heap_.pop_back();
-    --size_;
-    return ev;
-  }
-  // When today_ can serve and the ring is empty, skip ensure_active: it
-  // would rotate the window onto the overflow for nothing (and the
-  // today_ event's children may re-anchor it right back).
-  if (today_.empty() || ring_count_ > 0) ensure_active();
-  Event ev;
-  if (today_first()) {
-    ev = std::move(today_.front());
-    today_.pop_front();
-  } else {
-    DMV_ASSERT(ring_count_ > 0);
-    ev = std::move(bucket(cur_day_)[active_pos_]);
-    ++active_pos_;
-    --ring_count_;
-  }
-  --size_;
-  last_min_ = ev.at;
+  DMV_ASSERT(!heap_.empty());
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  Event ev = std::move(heap_.back());
+  heap_.pop_back();
   return ev;
 }
 

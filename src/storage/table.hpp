@@ -104,14 +104,12 @@ class Table {
   bool pages_equal(const Table& other) const;
 
   Key primary_key_of(const Row& row) const;
-  // Secondary key (indexed columns + appended PK) a row would carry in
-  // index `idx`. Public so callers patching un-indexed buffered rows into
-  // scan results (the engine's optimistic mode) can place them in index
-  // order.
-  Key secondary_key_of(const Row& row, size_t idx) const;
 
  private:
   RowId allocate_slot();
+  // Secondary key (indexed columns + appended PK) a row carries in index
+  // `idx`.
+  Key secondary_key_of(const Row& row, size_t idx) const;
 
   TableId id_;
   std::string name_;

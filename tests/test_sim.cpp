@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -310,76 +311,94 @@ TEST(Simulation, CompositeScenarioDeterministic) {
   EXPECT_EQ(run(), run());
 }
 
-// ---- event-queue regression tests (calendar queue rework) ----
+// ---- event-queue and run(until) ordering tests ----
 
 // Equal-timestamp events must run strictly in schedule order, including
 // events scheduled *at the draining instant* from inside an event (they
 // run after everything already queued for that instant). This pins the
 // FIFO contract the old const_cast/priority_queue kernel provided.
 TEST(EventQueue, EqualTimestampsRunInScheduleOrder) {
-  for (auto kind : {EventQueue::Kind::Calendar, EventQueue::Kind::BinaryHeap}) {
-    Simulation sim(kind);
-    std::vector<int> order;
-    sim.schedule_at(50, [&] {
-      order.push_back(0);
-      // Same-instant insert during the drain of t=50.
-      sim.schedule_at(50, [&] { order.push_back(3); });
-    });
-    sim.schedule_at(50, [&] { order.push_back(1); });
-    sim.schedule_at(50, [&] { order.push_back(2); });
-    sim.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3})) << "kind " << int(kind);
-  }
+  Simulation sim;
+  std::vector<int> order;
+  sim.schedule_at(50, [&] {
+    order.push_back(0);
+    // Same-instant insert during the drain of t=50.
+    sim.schedule_at(50, [&] { order.push_back(3); });
+  });
+  sim.schedule_at(50, [&] { order.push_back(1); });
+  sim.schedule_at(50, [&] { order.push_back(2); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
-// The calendar queue and the binary heap must produce byte-identical
-// execution orders on a randomized schedule that exercises every path:
-// same-instant inserts, in-window days, far-future overflow events, and
-// window rotation.
-TEST(EventQueue, CalendarMatchesBinaryHeapOrder) {
-  auto drive = [](EventQueue::Kind kind, uint64_t seed) {
-    Simulation sim(kind);
+// Property test against a reference model: random push/pop interleavings
+// must pop exactly the (at, seq) minimum of a std::set holding the same
+// events. Pushes follow the simulation's rules (never before the last
+// popped time) and cover the patterns the kernel sees: same-instant
+// pushes during a drain, near and far-future events, and pushes earlier
+// than a peek_time() that run(until) has already looked at and parked on.
+TEST(EventQueue, MatchesReferenceModel) {
+  for (uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
     util::Rng rng(seed);
-    std::vector<std::pair<Time, int>> trace;
-    int next_id = 0;
-    std::function<void(int)> fire = [&](int id) {
-      trace.emplace_back(sim.now(), id);
-      // Sometimes reschedule: 0 (same instant), short (in-window),
-      // long (overflow past the 4096*256us window).
-      const int kids = int(rng.below(3));
-      for (int k = 0; k < kids && next_id < 4000; ++k) {
-        Time d = 0;
-        switch (rng.below(3)) {
-          case 0: d = 0; break;
-          case 1: d = Time(rng.below(2000)); break;
-          default: d = Time(rng.below(5'000'000)); break;
-        }
-        const int id2 = next_id++;
-        sim.schedule_after(d, [&fire, id2] { fire(id2); });
-      }
+    EventQueue q;
+    std::set<std::pair<Time, uint64_t>> model;
+    uint64_t seq = 0;
+    Time now = 0;
+    size_t same_instant = 0, far = 0, under_peek = 0;
+    const auto push = [&](Time at) {
+      q.push(Event{at, seq, {}});
+      model.emplace(at, seq);
+      ++seq;
     };
-    for (int i = 0; i < 64; ++i) {
-      const int id = next_id++;
-      sim.schedule_at(Time(rng.below(3000)), [&fire, id] { fire(id); });
+    for (int step = 0; step < 20000; ++step) {
+      const uint64_t r = rng.below(100);
+      if (r < 45 || model.empty()) {
+        Time d = 0;
+        switch (rng.below(4)) {
+          case 0: d = 0; ++same_instant; break;
+          case 1: d = Time(rng.below(300)); break;
+          case 2: d = Time(rng.below(100'000)); break;
+          default: d = 1'000'000 + Time(rng.below(50'000'000)); ++far; break;
+        }
+        push(now + d);
+      } else if (r < 55) {
+        // Peek (as run(until) does before parking), then insert between
+        // the clock and the peeked time.
+        const Time peeked = q.peek_time();
+        ASSERT_EQ(peeked, model.begin()->first) << "seed " << seed;
+        if (peeked > now) {
+          push(now + Time(rng.below(uint64_t(peeked - now))));
+          ++under_peek;
+        }
+      } else {
+        ASSERT_EQ(q.peek_time(), model.begin()->first) << "seed " << seed;
+        const Event ev = q.pop();
+        ASSERT_EQ(std::make_pair(ev.at, ev.seq), *model.begin())
+            << "seed " << seed << " step " << step;
+        model.erase(model.begin());
+        now = ev.at;
+      }
+      ASSERT_EQ(q.size(), model.size());
     }
-    sim.run();
-    return trace;
-  };
-  for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
-    auto cal = drive(EventQueue::Kind::Calendar, seed);
-    auto heap = drive(EventQueue::Kind::BinaryHeap, seed);
-    EXPECT_EQ(cal, heap) << "seed " << seed;
-    EXPECT_GT(cal.size(), 64u);
+    while (!model.empty()) {
+      const Event ev = q.pop();
+      ASSERT_EQ(std::make_pair(ev.at, ev.seq), *model.begin())
+          << "seed " << seed;
+      model.erase(model.begin());
+    }
+    EXPECT_TRUE(q.empty());
+    EXPECT_GT(same_instant, 100u);
+    EXPECT_GT(far, 100u);
+    EXPECT_GT(under_peek, 100u);
   }
 }
 
 // run(until) must park the clock exactly at the boundary without popping
-// later events, then deliver them on the next run() — including events
-// sitting in the calendar queue's overflow heap.
-TEST(EventQueue, RunUntilBoundaryWithOverflow) {
-  Simulation sim;  // calendar default
+// later events, then deliver them on the next run().
+TEST(EventQueue, RunUntilBoundaryWithFarEvent) {
+  Simulation sim;
   std::vector<Time> fired;
-  const Time far = Time(EventQueue::kBuckets) * EventQueue::kWidth * 3 + 17;
+  const Time far = 3'145'745;
   sim.schedule_at(10, [&] { fired.push_back(sim.now()); });
   sim.schedule_at(far, [&] { fired.push_back(sim.now()); });
   EXPECT_EQ(sim.run(10), 10);
@@ -394,48 +413,27 @@ TEST(EventQueue, RunUntilBoundaryWithOverflow) {
   EXPECT_EQ(fired[2], far);
 }
 
-// A day the scan already passed (because it was empty) can receive a new
-// event when the clock parks mid-window; the queue must rewind to it.
-TEST(EventQueue, BackwardDayInsertAfterPark) {
+// After run(until) parks short of a pending event, an event scheduled
+// between the parked clock and that event must run first.
+TEST(EventQueue, EarlierInsertAfterPark) {
   Simulation sim;
   std::vector<int> order;
-  // Drain an event late in the window so the day cursor is far along.
-  sim.schedule_at(EventQueue::kWidth * 100, [&] { order.push_back(1); });
+  sim.schedule_at(12'805, [&] { order.push_back(2); });
+  EXPECT_EQ(sim.run(512), 512);  // parks; peek saw t=12805
+  sim.schedule_at(2'560, [&] { order.push_back(1); });
   sim.run();
-  // Park earlier-day inserts are impossible (clock is monotone), but a
-  // *smaller day within the same window* than the cursor's scan position
-  // happens when run(until) parked before the scan's day. Emulate: event
-  // at day D+50 pending, then insert at day D+10 while both are future.
-  Simulation s2;
-  std::vector<int> o2;
-  s2.schedule_at(EventQueue::kWidth * 50 + 5, [&] { o2.push_back(2); });
-  s2.run(EventQueue::kWidth * 2);  // parks; peek scanned toward day 50
-  s2.schedule_at(EventQueue::kWidth * 10, [&] { o2.push_back(1); });
-  s2.run();
-  EXPECT_EQ(o2, (std::vector<int>{1, 2}));
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-// A rewind that re-anchors the window spills the ring to the overflow
-// heap — but the spilled events can land *inside* the new window. They
-// must migrate back into the ring, or a later ring event inserted
-// afterwards would be served before them (the fault-storm bug).
-TEST(EventQueue, RewindSpillKeepsOverflowOrdered) {
+// Park far behind a pending event, then schedule one event well before
+// it and one just after it: all three run in time order.
+TEST(EventQueue, ParkedInsertsAroundPendingEvent) {
   Simulation sim;
   std::vector<int> order;
-  const Time W = EventQueue::kWidth;
-  const Time kB = Time(EventQueue::kBuckets);
-  // Event on a far day: parks in the overflow, then a peek (via run-until)
-  // rotates the window onto its day (3*kB/2 = kB + kB/2).
-  sim.schedule_at(W * kB * 3 / 2, [&] { order.push_back(2); });
-  sim.run(W);  // parks at day 1; window now anchored at day 3*kB/2
-  // Day far behind the rotated window but close enough that the spilled
-  // event's day (3*kB/2) falls inside the re-anchored window
-  // [kB/2 + 2, kB/2 + 2 + kB).
-  sim.schedule_at(W * (kB / 2 + 2), [&] { order.push_back(1); });
-  // One day after the spilled event, inside the new window: without the
-  // migrate-back this lands in the ring while the earlier spilled event
-  // waits invisibly in the overflow, and fires before it.
-  sim.schedule_at(W * (kB * 3 / 2 + 1), [&] { order.push_back(3); });
+  sim.schedule_at(1'572'864, [&] { order.push_back(2); });
+  EXPECT_EQ(sim.run(256), 256);
+  sim.schedule_at(524'800, [&] { order.push_back(1); });
+  sim.schedule_at(1'573'120, [&] { order.push_back(3); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
