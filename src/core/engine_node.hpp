@@ -164,18 +164,6 @@ class EngineNode {
       return sync_pending.empty() && votes >= need;
     }
   };
-  // At-most-once bookkeeping: the last committed update per client.
-  // Clients are single-outstanding, so one mark per client suffices; a
-  // resubmission (same req after a scheduler fail-over) is re-acked from
-  // here instead of executed twice. Replicated via the write-set stream
-  // and pruned by DiscardAbove so a promoted slave inherits only marks
-  // whose updates it actually kept.
-  struct CommittedMark {
-    uint64_t req = 0;
-    VersionVec version;  // post-commit vector, for discard pruning
-    api::TxnResult result;
-    std::vector<txn::OpRecord> ops;  // re-acks re-feed the persistence log
-  };
   // Master->replica batch window, one per destination link. Urgent
   // (client-blocking) write-sets take a Nagle-style path: flush
   // immediately when the link is idle (acked_seq has caught up with
@@ -213,7 +201,7 @@ class EngineNode {
   // Abort the current join attempt and schedule a capped-backoff retry
   // against the first live scheduler in join_schedulers_.
   void join_failed(const std::shared_ptr<bool>& alive);
-  void broadcast_write_set(const txn::WriteSet& ws);
+  void broadcast_write_set(const txn::WriteSetPtr& ws);
   sim::Task<bool> wait_acks(uint64_t seq);
   // Ack-wait mutation helpers: `from` acked everything up to the wait's
   // seq / died / left the replica set; wake the committer if satisfied.
@@ -263,17 +251,18 @@ class EngineNode {
 
   std::unordered_map<uint64_t, Inflight*> inflight_;
   std::unique_ptr<sim::WaitQueue> precommit_drain_;
-  std::map<NodeId, CommittedMark> committed_;
-  // Origin + committed result of the update currently in precommit, keyed
-  // by engine txn id — broadcast_write_set (called from inside precommit)
-  // stamps them onto the outgoing WriteSetMsg.
-  struct UpdateOrigin {
-    NodeId origin = net::kNoNode;
-    uint64_t req = 0;
-    api::TxnResult result;
-    std::vector<txn::OpRecord> ops;
-  };
-  std::map<uint64_t, UpdateOrigin> origin_by_txn_;
+  // At-most-once bookkeeping: the commit record of the last committed
+  // update per client. Clients are single-outstanding, so one mark per
+  // client suffices; a resubmission (same req after a scheduler fail-over)
+  // is re-acked from here instead of executed twice. Replicated via the
+  // write-set stream and pruned by DiscardAbove so a promoted slave
+  // inherits only marks whose updates it actually kept.
+  std::unordered_map<NodeId, CommitPtr> committed_;
+  // Commit records of the updates currently in precommit, keyed by engine
+  // txn id: run_update stages origin, result and ops, and
+  // broadcast_write_set (called from inside precommit) completes the
+  // record with the write-set before sharing it.
+  std::map<uint64_t, std::shared_ptr<CommitRecord>> staged_;
 
   // Join-protocol reply channels (one protocol at a time).
   std::unique_ptr<sim::Channel<SubscribeReply>> sub_replies_;

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -68,17 +69,12 @@ struct TxnDone {
 
 // ---- replication (master -> replicas) ----
 
-struct WriteSetMsg {
-  NodeId master = net::kNoNode;
-  uint64_t seq = 0;  // per-master broadcast sequence, for acks
-  txn::WriteSet ws;
-  // The master's ack wait for this write-set blocks a client reply on
-  // THIS recipient's ack (all-ack mode: every replica; quorum commit:
-  // voters only). The recipient flushes its cumulative-ack window
-  // immediately after processing such a message instead of letting the
-  // client-visible reply sit out the ack_delay coalescing window; lazy
-  // catch-up streams (non-voters, WAN subscribers) keep coalescing.
-  bool ack_urgent = false;
+// One committed update as its master replicates it. Built once at
+// pre-commit and never changed after: the outbox entries, messages in
+// flight, replicas' pending-mod queues and every node's committed mark
+// share this one copy (DESIGN.md, replication pipeline).
+struct CommitRecord {
+  txn::WriteSetPtr ws;
   // Originating client of the update (see ExecTxn): replicated so that a
   // slave promoted after a master+scheduler double failure still detects
   // client resubmissions of updates it already holds. The committed result
@@ -86,13 +82,29 @@ struct WriteSetMsg {
   // the real payload instead of success-with-empty-result.
   NodeId origin = net::kNoNode;
   uint64_t origin_req = 0;
-  api::TxnResult origin_result;
+  api::TxnResult result;
   // The committed update's op-log rides along too: a re-ack must carry the
   // ops so the scheduler's persistence hook can (re-)log the commit — the
   // update log deduplicates by version stamp, but a re-ack with empty ops
   // would leave an acked commit unlogged when the original ack died with
   // its scheduler before the append.
-  std::vector<txn::OpRecord> origin_ops;
+  std::vector<txn::OpRecord> ops;
+  // Modeled wire size of one copy: the write-set plus the ops.
+  size_t wire_bytes = 0;
+};
+using CommitPtr = std::shared_ptr<const CommitRecord>;
+
+struct WriteSetMsg {
+  NodeId master = net::kNoNode;
+  uint64_t seq = 0;  // per-master broadcast sequence, for acks
+  CommitPtr commit;
+  // The master's ack wait for this write-set blocks a client reply on
+  // THIS recipient's ack (all-ack mode: every replica; quorum commit:
+  // voters only). The recipient flushes its cumulative-ack window
+  // immediately after processing such a message instead of letting the
+  // client-visible reply sit out the ack_delay coalescing window; lazy
+  // catch-up streams (non-voters, WAN subscribers) keep coalescing.
+  bool ack_urgent = false;
 };
 
 // Master-side batching: write-sets bound for the same replica, coalesced

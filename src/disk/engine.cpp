@@ -224,20 +224,8 @@ sim::Task<> DiskEngine::commit(TxnCtx& txn) {
 }
 
 void DiskEngine::rollback(TxnCtx& txn) {
-  for (const auto& [pid, before] : txn.before_images()) {
-    storage::Table& tb = db_.table(pid.table);
-    const auto runs = txn::diff_pages(tb.page(pid.page), before);
-    if (runs.empty()) continue;
-    txn::PageMod restore;
-    restore.pid = pid;
-    restore.runs = runs;
-    const auto slots =
-        restore.affected_slots(tb.schema().row_size(), tb.slots_per_page());
-    for (uint16_t s : slots) tb.unindex_slot(pid.page, s);
-    txn::apply_runs(tb.page(pid.page), runs);
-    for (uint16_t s : slots) tb.index_slot(pid.page, s);
-    tb.refresh_page_bookkeeping(pid.page);
-  }
+  for (const auto& [pid, before] : txn.before_images())
+    txn::restore_page(db_.table(pid.table), pid.page, before);
   locks_.release_all(txn);
 }
 

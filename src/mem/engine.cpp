@@ -113,8 +113,8 @@ sim::Task<> MemEngine::ensure_table(TxnCtx& txn, TableId t) {
   const uint64_t bound = cfg_.mut_apply_off_by_one && v > 0 ? v - 1 : v;
   auto& q = pending_[t];
   storage::Table& table = db_.table(t);
-  while (!q.empty() && q.front().version <= bound) {
-    apply_one(table, q.front(), cost);
+  while (!q.empty() && q.front()->version <= bound) {
+    apply_one(table, *q.front(), cost);
     q.pop_front();
   }
   if (cost > 0) {
@@ -412,7 +412,7 @@ sim::Task<bool> MemEngine::remove(TxnCtx& txn, TableId t, const Key& pk) {
   co_return true;
 }
 
-sim::Task<txn::WriteSet> MemEngine::precommit(TxnCtx& txn) {
+sim::Task<txn::WriteSetPtr> MemEngine::precommit(TxnCtx& txn) {
   DMV_ASSERT(txn.kind() == TxnKind::Update);
   // Charge the diff cost up front so the section below — version
   // increments, page-version stamping, broadcast — runs without
@@ -424,8 +424,8 @@ sim::Task<txn::WriteSet> MemEngine::precommit(TxnCtx& txn) {
                       sim::Time(txn.dirty_pages().size()));
   }
 
-  txn::WriteSet ws;
-  ws.txn_id = txn.id();
+  auto ws = std::make_shared<txn::WriteSet>();
+  ws->txn_id = txn.id();
 
   // Diff first, bump versions after: a table whose every dirty page diffs
   // empty (written then reverted) must not publish a version number no
@@ -456,7 +456,7 @@ sim::Task<txn::WriteSet> MemEngine::precommit(TxnCtx& txn) {
   for (txn::PageMod& mod : mods) {
     mod.version = version_[mod.pid.table];
     db_.table(mod.pid.table).meta(mod.pid.page).version = mod.version;
-    ws.mods.push_back(std::move(mod));
+    ws->mods.push_back(std::move(mod));
   }
   // Stamp with the *applied* version vector only. Conflict classes are
   // disjoint, so an update can never causally depend on another class's
@@ -467,12 +467,11 @@ sim::Task<txn::WriteSet> MemEngine::precommit(TxnCtx& txn) {
   // no replica will ever receive again (wedged reads), and a replica that
   // sees the stamp bumps received_ for a table whose mods it does not hold
   // and serves old pages under the new tag.
-  ws.db_version.resize(db_.table_count());
-  for (size_t i = 0; i < ws.db_version.size(); ++i)
-    ws.db_version[i] = version_[i];
+  ws->db_version = version_;
 
-  if (broadcast_fn_) broadcast_fn_(ws);
-  co_return ws;
+  txn::WriteSetPtr published = std::move(ws);
+  if (broadcast_fn_) broadcast_fn_(published);
+  co_return published;
 }
 
 void MemEngine::finish_commit(TxnCtx& txn) {
@@ -481,20 +480,8 @@ void MemEngine::finish_commit(TxnCtx& txn) {
 }
 
 void MemEngine::rollback(TxnCtx& txn) {
-  for (const auto& [pid, before] : txn.before_images()) {
-    storage::Table& tb = db_.table(pid.table);
-    const auto runs = txn::diff_pages(tb.page(pid.page), before);
-    if (runs.empty()) continue;
-    txn::PageMod restore;
-    restore.pid = pid;
-    restore.runs = runs;
-    const auto slots =
-        restore.affected_slots(tb.schema().row_size(), tb.slots_per_page());
-    for (uint16_t s : slots) tb.unindex_slot(pid.page, s);
-    txn::apply_runs(tb.page(pid.page), runs);
-    for (uint16_t s : slots) tb.index_slot(pid.page, s);
-    tb.refresh_page_bookkeeping(pid.page);
-  }
+  for (const auto& [pid, before] : txn.before_images())
+    txn::restore_page(db_.table(pid.table), pid.page, before);
   locks_.release_all(txn);
 }
 
@@ -503,24 +490,21 @@ void MemEngine::finish_read(TxnCtx& txn) {
   ++stats_.read_commits;
 }
 
-void MemEngine::on_write_set(const txn::WriteSet& ws) {
+void MemEngine::on_write_set(const txn::WriteSetPtr& ws) {
   if (shutdown_) return;
-  DMV_ASSERT(ws.db_version.size() == db_.table_count());
-  for (const auto& mod : ws.mods) {
+  DMV_ASSERT(ws->db_version.size() == db_.table_count());
+  for (const auto& mod : ws->mods) {
     // Never queue mods for tables we master (our own state is the source).
     if (masters(mod.pid.table)) continue;
-    pending_[mod.pid.table].push_back(mod);
+    pending_[mod.pid.table].emplace_back(ws, &mod);
     ++stats_.mods_enqueued;
   }
-  bool advanced = false;
-  for (size_t t = 0; t < ws.db_version.size(); ++t) {
-    if (ws.db_version[t] > received_[t]) {
-      received_[t] = ws.db_version[t];
-      advanced = true;
+  for (size_t t = 0; t < ws->db_version.size(); ++t) {
+    if (ws->db_version[t] > received_[t]) {
+      received_[t] = ws->db_version[t];
       arrival_[t]->notify_all();
     }
   }
-  (void)advanced;
 }
 
 void MemEngine::discard_mods_above(
@@ -536,7 +520,7 @@ void MemEngine::discard_mods_above(
   for (size_t t = 0; t < confirmed.size(); ++t) {
     if (!affected(t)) continue;
     auto& q = pending_[t];
-    while (!q.empty() && q.back().version > confirmed[t]) q.pop_back();
+    while (!q.empty() && q.back()->version > confirmed[t]) q.pop_back();
     received_[t] = std::min(received_[t], confirmed[t]);
   }
 }
@@ -545,8 +529,8 @@ sim::Task<> MemEngine::apply_pending(TableId t, uint64_t v) {
   sim::Time cost = 0;
   auto& q = pending_[t];
   storage::Table& table = db_.table(t);
-  while (!q.empty() && q.front().version <= v) {
-    apply_one(table, q.front(), cost);
+  while (!q.empty() && q.front()->version <= v) {
+    apply_one(table, *q.front(), cost);
     q.pop_front();
   }
   if (cost > 0) {
@@ -557,7 +541,7 @@ sim::Task<> MemEngine::apply_pending(TableId t, uint64_t v) {
 
 bool MemEngine::has_applicable(TableId t) const {
   const auto& q = pending_[t];
-  return !q.empty() && q.front().version <= received_[t];
+  return !q.empty() && q.front()->version <= received_[t];
 }
 
 sim::Task<bool> MemEngine::wait_arrival(TableId t) {

@@ -135,9 +135,10 @@ class MemEngine {
   // the version vector for written tables, builds the write-set, stamps
   // page versions and hands the write-set to `broadcast_fn` (set by the
   // hosting node) before any other transaction can interleave — write-sets
-  // leave the master in version order.
-  sim::Task<txn::WriteSet> precommit(txn::TxnCtx& txn);
-  void set_broadcast_fn(std::function<void(const txn::WriteSet&)> fn) {
+  // leave the master in version order. The write-set is immutable from
+  // here on; every replica shares the one returned copy.
+  sim::Task<txn::WriteSetPtr> precommit(txn::TxnCtx& txn);
+  void set_broadcast_fn(std::function<void(const txn::WriteSetPtr&)> fn) {
     broadcast_fn_ = std::move(fn);
   }
   // After replica acks: release locks, count the commit.
@@ -171,7 +172,9 @@ class MemEngine {
                          const storage::Key& pk);
 
   // --- replication (slave side) ---
-  void on_write_set(const txn::WriteSet& ws);
+  // Queue the mods of tables this engine does not master (pointers into
+  // `ws`, which they keep alive) and advance the received vector.
+  void on_write_set(const txn::WriteSetPtr& ws);
   // Master-failure cleanup (§4.2): drop queued mods with versions above
   // what the recovering scheduler confirmed; restricted to `tables` if
   // non-empty (the failed master's conflict class).
@@ -254,11 +257,14 @@ class MemEngine {
   CacheModel cache_;
   sim::Resource cpu_;
   std::set<storage::TableId> master_tables_;
-  std::function<void(const txn::WriteSet&)> broadcast_fn_;
+  std::function<void(const txn::WriteSetPtr&)> broadcast_fn_;
 
   VersionVec version_;   // produced (mastered tables)
   VersionVec received_;  // received from masters (slave tables)
-  std::vector<std::deque<txn::PageMod>> pending_;  // per table, FIFO
+  // Per table, FIFO. Each entry aliases its mod inside the shared
+  // write-set, so queueing copies no bytes and keeps the write-set alive
+  // until the mod is applied or discarded.
+  std::vector<std::deque<std::shared_ptr<const txn::PageMod>>> pending_;
   std::vector<std::unique_ptr<sim::WaitQueue>> arrival_;  // per table
   bool shutdown_ = false;
 

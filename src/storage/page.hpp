@@ -7,6 +7,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -71,9 +72,19 @@ class Page {
   }
 
   size_t occupied_count(size_t nslots) const {
+    DMV_ASSERT(nslots <= kMaxSlots);
     size_t n = 0;
-    for (size_t s = 0; s < nslots; ++s)
-      if (occupied(s)) ++n;
+    size_t byte = 0;
+    for (; (byte + 8) * 8 <= nslots; byte += 8) {  // whole 64-slot words
+      uint64_t w;
+      std::memcpy(&w, bytes_.data() + byte, sizeof w);
+      n += size_t(std::popcount(w));
+    }
+    for (; byte * 8 < nslots; ++byte) {
+      unsigned bits = std::to_integer<uint8_t>(bytes_[byte]);
+      if (nslots - byte * 8 < 8) bits &= (1u << (nslots - byte * 8)) - 1;
+      n += size_t(std::popcount(bits));
+    }
     return n;
   }
 

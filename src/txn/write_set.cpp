@@ -1,8 +1,9 @@
 #include "txn/write_set.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstring>
-#include <set>
 
 namespace dmv::txn {
 
@@ -18,14 +19,82 @@ size_t WriteSet::byte_size() const {
   return n;
 }
 
+namespace {
+
+uint64_t word_at(const std::byte* p) {
+  uint64_t w;
+  std::memcpy(&w, p, sizeof w);
+  return w;
+}
+
+// One bit per slot of a page, slot s at bit s % 64 of word s / 64.
+using SlotBits = std::array<uint64_t, storage::kMaxSlots / 64>;
+
+// The slots whose bytes or occupancy bit `runs` touch.
+SlotBits touched_slots(const std::vector<ByteRun>& runs, size_t row_size,
+                       size_t slots_per_page) {
+  DMV_ASSERT(slots_per_page <= storage::kMaxSlots);
+  SlotBits bits{};
+  const auto mark = [&](size_t lo, size_t hi) {  // slots [lo, hi)
+    for (size_t s = lo; s < std::min(hi, slots_per_page); ++s)
+      bits[s / 64] |= uint64_t{1} << (s % 64);
+  };
+  for (const auto& r : runs) {
+    const size_t lo = r.offset;
+    const size_t hi = r.offset + r.bytes.size();  // exclusive
+    // Bitmap bytes touched: every slot whose bit lives in [lo, hi) within
+    // the header may have flipped occupancy.
+    if (lo < storage::kPageHeader)
+      mark(lo * 8, std::min(hi, storage::kPageHeader) * 8);
+    // Row bytes touched.
+    if (hi > storage::kPageHeader)
+      mark((std::max(lo, storage::kPageHeader) - storage::kPageHeader) /
+               row_size,
+           (hi - storage::kPageHeader + row_size - 1) / row_size);
+  }
+  return bits;
+}
+
+// Call f(slot) for every set slot, in ascending slot order.
+template <typename F>
+void for_each_slot(const SlotBits& bits, F&& f) {
+  for (size_t w = 0; w < bits.size(); ++w)
+    for (uint64_t x = bits[w]; x != 0; x &= x - 1)
+      f(uint16_t(w * 64 + size_t(std::countr_zero(x))));
+}
+
+// Unindex the slots `mod` touches, copy its bytes in, re-index and refresh
+// the page's free-space bookkeeping. Returns the slots re-indexed.
+size_t apply_reindexing(storage::Table& table, const PageMod& mod) {
+  const storage::PageNo page = mod.pid.page;
+  const SlotBits slots = touched_slots(
+      mod.runs, table.schema().row_size(), table.slots_per_page());
+  for_each_slot(slots, [&](uint16_t s) { table.unindex_slot(page, s); });
+  apply_runs(table.page(page), mod.runs);
+  for_each_slot(slots, [&](uint16_t s) { table.index_slot(page, s); });
+  table.refresh_page_bookkeeping(page);
+  size_t n = 0;
+  for (uint64_t w : slots) n += size_t(std::popcount(w));
+  return n;
+}
+
+}  // namespace
+
 std::vector<ByteRun> diff_pages(const storage::Page& before,
                                 const storage::Page& after,
                                 size_t merge_gap) {
+  static_assert(storage::kPageSize % sizeof(uint64_t) == 0);
   std::vector<ByteRun> runs;
   const std::byte* a = before.raw().data();
   const std::byte* b = after.raw().data();
   size_t i = 0;
   while (i < storage::kPageSize) {
+    // An equal aligned word holds no run start: skip it whole. The byte
+    // loop below walks from a run's end to the next word boundary.
+    if (i % sizeof(uint64_t) == 0)
+      while (i < storage::kPageSize && word_at(a + i) == word_at(b + i))
+        i += sizeof(uint64_t);
+    if (i == storage::kPageSize) break;
     if (a[i] == b[i]) {
       ++i;
       continue;
@@ -64,47 +133,27 @@ void apply_runs(storage::Page& target, const std::vector<ByteRun>& runs) {
 
 std::vector<uint16_t> PageMod::affected_slots(size_t row_size,
                                               size_t slots_per_page) const {
-  std::set<uint16_t> slots;
-  for (const auto& r : runs) {
-    const size_t lo = r.offset;
-    const size_t hi = r.offset + r.bytes.size();  // exclusive
-    // Bitmap bytes touched: every slot whose bit lives in [lo, hi) within
-    // the header may have flipped occupancy.
-    if (lo < storage::kPageHeader) {
-      const size_t bm_lo = lo;
-      const size_t bm_hi = std::min(hi, storage::kPageHeader);
-      for (size_t byte = bm_lo; byte < bm_hi; ++byte)
-        for (size_t bit = 0; bit < 8; ++bit) {
-          const size_t slot = byte * 8 + bit;
-          if (slot < slots_per_page) slots.insert(uint16_t(slot));
-        }
-    }
-    // Row bytes touched.
-    if (hi > storage::kPageHeader) {
-      const size_t row_lo =
-          (std::max(lo, storage::kPageHeader) - storage::kPageHeader) /
-          row_size;
-      const size_t row_hi =
-          (hi - storage::kPageHeader + row_size - 1) / row_size;
-      for (size_t s = row_lo; s < std::min(row_hi, slots_per_page); ++s)
-        slots.insert(uint16_t(s));
-    }
-  }
-  return {slots.begin(), slots.end()};
+  std::vector<uint16_t> slots;
+  for_each_slot(touched_slots(runs, row_size, slots_per_page),
+                [&](uint16_t s) { slots.push_back(s); });
+  return slots;
 }
 
 size_t apply_mod_indexed(storage::Table& table, const PageMod& mod) {
   table.ensure_page(mod.pid.page);
-  const auto slots =
-      mod.affected_slots(table.schema().row_size(), table.slots_per_page());
-  for (uint16_t s : slots) table.unindex_slot(mod.pid.page, s);
-  apply_runs(table.page(mod.pid.page), mod.runs);
-  for (uint16_t s : slots) table.index_slot(mod.pid.page, s);
-  table.refresh_page_bookkeeping(mod.pid.page);
+  const size_t slots = apply_reindexing(table, mod);
   DMV_ASSERT_MSG(mod.version >= table.meta(mod.pid.page).version,
                  "write-set applied out of order");
   table.meta(mod.pid.page).version = mod.version;
-  return slots.size();
+  return slots;
+}
+
+void restore_page(storage::Table& table, storage::PageNo page,
+                  const storage::Page& before) {
+  PageMod restore;
+  restore.pid = {table.id(), page};
+  restore.runs = diff_pages(table.page(page), before);
+  if (!restore.runs.empty()) apply_reindexing(table, restore);
 }
 
 }  // namespace dmv::txn

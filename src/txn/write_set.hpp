@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "storage/page.hpp"
@@ -32,7 +33,8 @@ struct PageMod {
 
   size_t byte_size() const;
   // Slots whose bytes or occupancy bit are touched by these runs — the
-  // slots whose index entries must be rebuilt around application.
+  // slots whose index entries must be rebuilt around application — in
+  // ascending order.
   std::vector<uint16_t> affected_slots(size_t row_size,
                                        size_t slots_per_page) const;
 };
@@ -45,6 +47,10 @@ struct WriteSet {
 
   size_t byte_size() const;
 };
+
+// A published write-set never changes again: the master hands one shared
+// copy to every replica, and slaves queue pointers into it.
+using WriteSetPtr = std::shared_ptr<const WriteSet>;
 
 // Diff two page images into byte runs. Runs separated by fewer than
 // `merge_gap` unchanged bytes are merged (fewer, larger runs compress the
@@ -60,5 +66,11 @@ void apply_runs(storage::Page& target, const std::vector<ByteRun>& runs);
 // bookkeeping refreshed, and the page's version meta advanced. Returns the
 // number of slots re-indexed (for cost accounting).
 size_t apply_mod_indexed(storage::Table& table, const PageMod& mod);
+
+// Roll one page of `table` back to its before-image, with the same index
+// maintenance as apply_mod_indexed but leaving the version meta alone
+// (the undo path of both engines' rollback).
+void restore_page(storage::Table& table, storage::PageNo page,
+                  const storage::Page& before);
 
 }  // namespace dmv::txn

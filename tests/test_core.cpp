@@ -910,6 +910,140 @@ TEST(Failover, ResubmissionAfterPromotionCarriesResult) {
   EXPECT_EQ(r->value, 46);
 }
 
+// Every replica shares its master's commit record (write-set, origin,
+// result, ops) instead of holding a copy. Kill and destroy the master
+// while both slaves still hold its mods unapplied: the records must stay
+// alive through the slaves' pending queues and committed marks alone.
+// The third update has no client origin, so no mark holds its record and
+// only the pending queues keep its write-set alive.
+TEST(Failover, SharedCommitRecordOutlivesItsMaster) {
+  sim::Simulation sim;
+  net::Network net{sim};
+  const api::ProcRegistry reg = make_registry();
+  const NodeId sched = net.add_node("sched");
+  const NodeId mid = net.add_node("master");
+  const NodeId aid = net.add_node("slaveA");
+  const NodeId bid = net.add_node("slaveB");
+  auto make_node = [&](NodeId id) {
+    auto n = std::make_unique<EngineNode>(net, id, reg, demo_schema,
+                                          EngineNode::Config{});
+    demo_loader(n->engine().db());
+    return n;
+  };
+  auto master = make_node(mid);
+  auto a = make_node(aid);
+  auto b = make_node(bid);
+  master->make_master({0}, {aid, bid});
+  master->start();
+  a->start();
+  b->start();
+
+  // The test plays the scheduler: collect what the engine nodes send it.
+  struct Inbox {
+    std::map<uint64_t, TxnDone> done;  // by req_id
+    std::vector<AckMsg> acks;
+    std::vector<PromoteDone> promoted;
+  } inbox;
+  sim.spawn([](net::Network& net, NodeId me, Inbox& in) -> sim::Task<> {
+    for (;;) {
+      auto env = co_await net.mailbox(me).receive();
+      if (!env) co_return;
+      if (const auto* d = net::as<TxnDone>(*env)) in.done[d->req_id] = *d;
+      if (const auto* k = net::as<AckMsg>(*env)) in.acks.push_back(*k);
+      if (const auto* p = net::as<PromoteDone>(*env))
+        in.promoted.push_back(*p);
+    }
+  }(net, sched, inbox));
+  auto exec = [&](NodeId to, uint64_t req, const std::string& proc,
+                  int64_t id, NodeId origin, uint64_t origin_req) {
+    ExecTxn m;
+    m.req_id = req;
+    m.reply_to = sched;
+    m.proc = proc;
+    m.params.set("id", id).set("amt", int64_t{6} + id);
+    m.read_only = proc == "check";
+    m.tag = {3};
+    m.origin = origin;
+    m.origin_req = origin_req;
+    net.send(sched, to, std::move(m));
+    sim.run();
+  };
+  const NodeId client1 = net.add_node("client1");
+  const NodeId client2 = net.add_node("client2");
+  exec(mid, 1, "deposit", 4, client1, 77);  // version 1: 40 + 10
+  exec(mid, 2, "deposit", 5, client2, 78);  // version 2: 50 + 11
+  exec(mid, 3, "deposit", 6, net::kNoNode, 0);  // version 3: 60 + 12
+  ASSERT_TRUE(inbox.done.count(1) && inbox.done.count(2) &&
+              inbox.done.count(3));
+  const TxnDone first = inbox.done[1];
+  ASSERT_TRUE(first.ok);
+  ASSERT_EQ(first.db_version, VersionVec{1});
+  ASSERT_FALSE(first.ops.empty());
+  for (EngineNode* n : {a.get(), b.get()}) {
+    EXPECT_EQ(n->engine().received_version(), VersionVec{3});
+    EXPECT_EQ(n->engine().pending_mod_count(), 3u);  // lazy: none applied
+  }
+
+  net.kill(mid);
+  master->on_killed();
+  sim.run();
+  master.reset();
+  a->on_peer_killed(mid);
+  b->on_peer_killed(mid);
+
+  // Slave A still applies every queued mod, lazily, on a tagged read.
+  exec(aid, 10, "check", 6, net::kNoNode, 0);
+  exec(aid, 11, "check", 5, net::kNoNode, 0);
+  exec(aid, 12, "check", 4, net::kNoNode, 0);
+  ASSERT_TRUE(inbox.done.count(10) && inbox.done.count(11) &&
+              inbox.done.count(12));
+  EXPECT_EQ(inbox.done[10].result.value, 72);
+  EXPECT_EQ(inbox.done[11].result.value, 61);
+  EXPECT_EQ(inbox.done[12].result.value, 50);
+  EXPECT_EQ(a->engine().pending_mod_count(), 0u);
+  EXPECT_EQ(a->engine().stats().mods_applied, 3u);
+
+  // Slave B is told only version 1 was confirmed: the later updates'
+  // pending entries and the second client's committed mark must go.
+  net.send(sched, bid, DiscardAbove{VersionVec{1}, {}, 9});
+  sim.run();
+  ASSERT_EQ(inbox.acks.size(), 1u);
+  EXPECT_EQ(inbox.acks[0].received, VersionVec{1});
+  EXPECT_EQ(b->engine().pending_mod_count(), 1u);
+  net.send(sched, bid, PromoteToMaster{sched, {0}, {}, {}});
+  sim.run();
+  ASSERT_EQ(inbox.promoted.size(), 1u);
+  EXPECT_EQ(inbox.promoted[0].version, VersionVec{1});
+
+  // The first client resubmits: the promoted slave re-acks from the
+  // dead master's record, with its real result and ops.
+  exec(bid, 20, "deposit", 4, client1, 77);
+  ASSERT_TRUE(inbox.done.count(20));
+  const TxnDone& reack = inbox.done[20];
+  EXPECT_TRUE(reack.ok);
+  EXPECT_EQ(reack.result.ok, first.result.ok);
+  EXPECT_EQ(reack.result.value, first.result.value);
+  EXPECT_EQ(reack.db_version, first.db_version);
+  ASSERT_EQ(reack.ops.size(), first.ops.size());
+  for (size_t i = 0; i < first.ops.size(); ++i) {
+    EXPECT_EQ(reack.ops[i].table, first.ops[i].table);
+    EXPECT_EQ(reack.ops[i].pk, first.ops[i].pk);
+    EXPECT_EQ(reack.ops[i].row, first.ops[i].row);
+  }
+  EXPECT_EQ(b->engine().stats().update_commits, 0u);
+
+  // The second client's mark was discarded with its update: the
+  // resubmission executes again instead of being re-acked.
+  exec(bid, 21, "deposit", 5, client2, 78);
+  ASSERT_TRUE(inbox.done.count(21));
+  EXPECT_TRUE(inbox.done[21].ok);
+  EXPECT_EQ(inbox.done[21].db_version, VersionVec{2});
+  EXPECT_EQ(b->engine().stats().update_commits, 1u);
+  exec(bid, 22, "check", 5, net::kNoNode, 0);
+  ASSERT_TRUE(inbox.done.count(22));
+  EXPECT_EQ(inbox.done[22].result.value, 61);
+}
+
 TEST(DmvCluster, BatchedReplicationCoalescesAndPreservesOrder) {
   DmvCluster::Config cfg;
   cfg.slaves = 2;

@@ -54,7 +54,7 @@ struct Cluster {
       s->build_schema(demo_schema);
       slaves.push_back(std::move(s));
     }
-    master->set_broadcast_fn([this](const txn::WriteSet& ws) {
+    master->set_broadcast_fn([this](const txn::WriteSetPtr& ws) {
       for (auto& s : slaves) s->on_write_set(ws);
     });
   }
@@ -117,9 +117,9 @@ TEST(MemEngine, WriteSetReachesSlaveLazily) {
 TEST(MemEngine, ReaderWaitsForWriteSetArrival) {
   Cluster c(1);
   // Delay delivery: buffer the write-set and deliver at t=500.
-  std::vector<txn::WriteSet> buffered;
+  std::vector<txn::WriteSetPtr> buffered;
   c.master->set_broadcast_fn(
-      [&](const txn::WriteSet& ws) { buffered.push_back(ws); });
+      [&](const txn::WriteSetPtr& ws) { buffered.push_back(ws); });
   c.run_update([](MemEngine& m, txn::TxnCtx& txn) -> sim::Task<> {
     co_await insert_acct(m, txn, 1, 100, "ann");
   });
@@ -332,7 +332,7 @@ TEST(MemEngine, PromoteSlaveBecomesMaster) {
   EXPECT_TRUE(s0.masters(0));
   EXPECT_EQ(s0.version()[0], 1u);
   // New master can now execute updates, continuing the version sequence.
-  s0.set_broadcast_fn([&](const txn::WriteSet& ws) {
+  s0.set_broadcast_fn([&](const txn::WriteSetPtr& ws) {
     c.slaves[1]->on_write_set(ws);
   });
   c.sim.spawn([](Cluster& c, MemEngine& s) -> sim::Task<> {
@@ -539,8 +539,8 @@ TEST(MemEngine, FullPageWriteSetsShipWholePages) {
   cfg.full_page_writesets = true;
   Cluster c(1, cfg);
   size_t ws_bytes = 0;
-  c.master->set_broadcast_fn([&](const txn::WriteSet& ws) {
-    ws_bytes = ws.byte_size();
+  c.master->set_broadcast_fn([&](const txn::WriteSetPtr& ws) {
+    ws_bytes = ws->byte_size();
     c.slaves[0]->on_write_set(ws);
   });
   c.run_update([](MemEngine& m, txn::TxnCtx& txn) -> sim::Task<> {
@@ -560,7 +560,7 @@ TEST(MemEngine, DiffWriteSetsAreSmall) {
   Cluster c(1);
   size_t ws_bytes = 0;
   c.master->set_broadcast_fn(
-      [&](const txn::WriteSet& ws) { ws_bytes = ws.byte_size(); });
+      [&](const txn::WriteSetPtr& ws) { ws_bytes = ws->byte_size(); });
   c.run_update([](MemEngine& m, txn::TxnCtx& txn) -> sim::Task<> {
     co_await insert_acct(m, txn, 1, 100, "ann");
   });
@@ -585,13 +585,13 @@ TEST(MemEngine, PromotedMasterContinuesVersionSequence) {
   c.sim.run();
   EXPECT_EQ(s0.version()[0], 5u);
   s0.set_broadcast_fn(
-      [&](const txn::WriteSet& ws) { c.slaves[1]->on_write_set(ws); });
+      [&](const txn::WriteSetPtr& ws) { c.slaves[1]->on_write_set(ws); });
   c.sim.spawn([](Cluster& c, MemEngine& s) -> sim::Task<> {
     auto txn = s.begin_update();
     co_await insert_acct(s, *txn, 100, 1, "y");
-    txn::WriteSet ws = co_await s.precommit(*txn);
+    const txn::WriteSetPtr ws = co_await s.precommit(*txn);
     s.finish_commit(*txn);
-    EXPECT_EQ(ws.db_version[0], 6u);
+    EXPECT_EQ(ws->db_version[0], 6u);
     (void)c;
   }(c, s0));
   c.sim.run();

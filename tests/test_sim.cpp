@@ -329,6 +329,23 @@ TEST(EventQueue, EqualTimestampsRunInScheduleOrder) {
   sim.schedule_at(50, [&] { order.push_back(2); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+
+  // Three events are too few for heap sifts to reorder ties: interleave
+  // 24 events at each of two instants with events at other times, so
+  // pushes and pops move tied events past each other inside the heap.
+  Simulation big;
+  std::vector<std::pair<Time, int>> ran;
+  for (int i = 0; i < 96; ++i) {
+    const Time at = i % 4 == 0 ? 40 : i % 4 == 2 ? 70 : 10 + (i * 37) % 90;
+    big.schedule_at(at, [&ran, &big, i] { ran.emplace_back(big.now(), i); });
+  }
+  big.run();
+  ASSERT_EQ(ran.size(), 96u);
+  for (size_t k = 1; k < ran.size(); ++k) {
+    ASSERT_LE(ran[k - 1].first, ran[k].first);
+    if (ran[k - 1].first == ran[k].first)
+      EXPECT_LT(ran[k - 1].second, ran[k].second) << "at t=" << ran[k].first;
+  }
 }
 
 // Property test against a reference model: random push/pop interleavings

@@ -91,6 +91,23 @@ TEST(Page, OccupancyBitmap) {
   EXPECT_EQ(p.occupied_count(512), 2u);
 }
 
+// occupied_count counts whole 64-slot words at once; every slot-count
+// cut, word-aligned or not, must agree with a slot-by-slot count.
+TEST(Page, OccupiedCountMatchesSlotBySlot) {
+  util::Rng rng(11);
+  for (int iter = 0; iter < 20; ++iter) {
+    Page p;
+    for (size_t s = 0; s < kMaxSlots; ++s)
+      if (rng.chance(iter % 2 ? 0.9 : 0.3)) p.set_occupied(s, true);
+    for (size_t n = 0; n <= kMaxSlots; ++n) {
+      size_t slow = 0;
+      for (size_t s = 0; s < n; ++s) slow += p.occupied(s) ? 1 : 0;
+      ASSERT_EQ(p.occupied_count(n), slow) << "iteration " << iter
+                                           << ", " << n << " slots";
+    }
+  }
+}
+
 TEST(Page, SlotsPerPageBounds) {
   EXPECT_EQ(Page::slots_per_page(8), kMaxSlots);  // capped by bitmap
   EXPECT_EQ(Page::slots_per_page(1000), (kPageSize - kPageHeader) / 1000);

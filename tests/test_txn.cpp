@@ -507,6 +507,128 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 7, 42, 1234),
                        ::testing::Values(0, 1, 8, 64)));
 
+// Reference for diff_pages: the plain byte loop the word-skipping version
+// must reproduce run for run.
+std::vector<ByteRun> reference_diff(const storage::Page& before,
+                                    const storage::Page& after,
+                                    size_t merge_gap) {
+  std::vector<ByteRun> runs;
+  const std::byte* a = before.raw().data();
+  const std::byte* b = after.raw().data();
+  size_t i = 0;
+  while (i < storage::kPageSize) {
+    if (a[i] == b[i]) {
+      ++i;
+      continue;
+    }
+    const size_t start = i;
+    size_t end = i + 1;
+    size_t gap = 0;
+    for (size_t scan = end; scan < storage::kPageSize; ++scan) {
+      if (a[scan] != b[scan]) {
+        end = scan + 1;
+        gap = 0;
+      } else if (++gap > merge_gap) {
+        break;
+      }
+    }
+    runs.push_back(ByteRun{uint32_t(start),
+                           std::vector<std::byte>(b + start, b + end)});
+    i = end;
+  }
+  return runs;
+}
+
+// Flip every byte in [lo, hi) of `page` to a different value.
+void flip(storage::Page& page, size_t lo, size_t hi) {
+  for (size_t i = lo; i < hi; ++i)
+    page.raw()[i] =
+        std::byte(uint8_t(std::to_integer<uint8_t>(page.raw()[i]) + 1));
+}
+
+class DiffMatchesByteLoop : public ::testing::TestWithParam<size_t> {};
+
+// Row-shaped changes, as a master's update produces them: 1-4 rows of a
+// random width, each with a few changed bytes and maybe its bitmap bit.
+TEST_P(DiffMatchesByteLoop, RandomRowUpdates) {
+  const size_t gap = GetParam();
+  util::Rng rng(gap + 1);
+  for (int iter = 0; iter < 500; ++iter) {
+    storage::Page before;
+    for (size_t i = 0; i < storage::kPageSize; ++i)
+      before.raw()[i] = std::byte(uint8_t(rng.below(256)));
+    storage::Page after = before;
+    const size_t row = 8 + rng.below(300);
+    const size_t nrows = (storage::kPageSize - storage::kPageHeader) / row;
+    const int touched = 1 + int(rng.below(4));
+    for (int k = 0; k < touched; ++k) {
+      const size_t slot = rng.below(nrows);
+      const size_t base = storage::kPageHeader + slot * row;
+      for (int c = 1 + int(rng.below(6)); c > 0; --c) {
+        const size_t lo = base + rng.below(row);
+        flip(after, lo, std::min(base + row, lo + 1 + rng.below(12)));
+      }
+      const size_t bit = slot % storage::kMaxSlots;
+      if (rng.chance(0.3)) after.set_occupied(bit, !after.occupied(bit));
+    }
+    ASSERT_EQ(diff_pages(before, after, gap),
+              reference_diff(before, after, gap))
+        << "iteration " << iter;
+  }
+}
+
+// Runs that start and end on 8-byte word boundaries and one byte off
+// them, alone and in pairs whose spacing straddles the merge gap.
+TEST_P(DiffMatchesByteLoop, WordBoundaryRuns) {
+  const size_t gap = GetParam();
+  for (size_t w : {1u, 7u, 100u, 511u, 1000u})
+    for (int lo_off : {-1, 0, 1})
+      for (size_t len_words : {1u, 2u, 5u})
+        for (int hi_off : {-1, 0, 1}) {
+          const size_t lo = w * 8 + size_t(lo_off);
+          const size_t hi = std::min(storage::kPageSize,
+                                     w * 8 + len_words * 8 + size_t(hi_off));
+          storage::Page before, after;
+          flip(after, lo, hi);
+          ASSERT_EQ(diff_pages(before, after, gap),
+                    reference_diff(before, after, gap))
+              << "[" << lo << ", " << hi << ")";
+          for (size_t space : {gap, gap + 1, gap + 8}) {
+            if (hi + space + 3 > storage::kPageSize) continue;
+            storage::Page two = after;
+            flip(two, hi + space, hi + space + 3);
+            ASSERT_EQ(diff_pages(before, two, gap),
+                      reference_diff(before, two, gap))
+                << "[" << lo << ", " << hi << ") + " << space;
+          }
+        }
+}
+
+// The first and last byte of the page, alone and together.
+TEST_P(DiffMatchesByteLoop, PageEdges) {
+  const size_t gap = GetParam();
+  const size_t last = storage::kPageSize - 1;
+  for (const auto& [lo, hi] : std::vector<std::pair<size_t, size_t>>{
+           {0, 1}, {last, last + 1}, {0, 9}, {last - 8, last + 1}}) {
+    storage::Page before, after;
+    flip(after, lo, hi);
+    ASSERT_EQ(diff_pages(before, after, gap),
+              reference_diff(before, after, gap))
+        << "[" << lo << ", " << hi << ")";
+  }
+  storage::Page before, after;
+  flip(after, 0, 1);
+  flip(after, last, last + 1);
+  const auto runs = diff_pages(before, after, gap);
+  ASSERT_EQ(runs, reference_diff(before, after, gap));
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_EQ(runs[0].offset, 0u);
+  EXPECT_EQ(runs[1].offset, last);
+}
+
+INSTANTIATE_TEST_SUITE_P(Gaps, DiffMatchesByteLoop,
+                         ::testing::Values(0, 1, 8, 64));
+
 storage::Schema small_schema() {
   return storage::Schema({storage::int_col("id"), storage::int_col("v")});
 }
